@@ -9,7 +9,8 @@ one-line human answer instead.  Exit status is 0 when the query ran
 Polynomial grammar: sum of terms joined by + and -; a term is an optional
 rational coefficient and '*'-separated factors; a factor is a generator
 name optionally followed by '^' and a signed integer exponent, or a
-parenthesized subexpression.  Whitespace is ignored.
+parenthesized subexpression, nested at most 100 deep.  Whitespace is
+ignored.
 
 Ring selectors: ``coxeter`` | ``interval:a,b[:mode[:xyz]]`` |
 ``box:d[:signed]`` | ``product:<left>,<right>`` (components ``d1``, ``d2``,
@@ -22,6 +23,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import geometry as geo
 from . import identities as ids
@@ -67,11 +69,15 @@ def _tokenize(text: str):
     return tokens
 
 
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, names=None):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.names = set(names) if names is not None else None
 
     def peek(self):
@@ -146,7 +152,13 @@ class _Parser:
                 exp = self.exponent()
             return LaurentPoly.var(val, exp) if exp else LaurentPoly.const(1)
         if kind == "op" and val == "(":
+            # Each level recurses through expr, term and factor; the limit
+            # keeps the stack far from Python's recursion limit.
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"nesting deeper than {_MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             kind2, val2, pos2 = self.peek()
             if kind2 == "op" and val2 == "^":
@@ -589,10 +601,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@lru_cache(maxsize=1)
+def _cached_parser() -> argparse.ArgumentParser:
+    """One parser for every ``main`` call: building it takes milliseconds,
+    parsing tens of microseconds, and ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _cached_parser().parse_args(argv)
     try:
         return args.fn(args, out)
     except (ValueError, KeyError, ZeroDivisionError) as exc:

@@ -5,7 +5,17 @@ each a polytope of one ambient family, and realizes the surjection from the
 (Laurent) polynomial ring in those names onto the ring of simple functions:
 a name maps to the closed indicator of its polytope, products map to
 Minkowski sums, and the inverse of a d-dimensional polytope indicator is
-(-1)^d times the indicator of the negated relative interior.
+(-1)^d times the indicator of the negated relative interior.  By
+inclusion-exclusion over the face lattice of -P (McMullen's polytope
+algebra) that inverse is a signed sum of closed faces,
+
+    (-1)^d [relint(-P)] = sum over faces F of -P of (-1)^(dim F) [F],
+
+so a point generator's inverse is a translation, a segment's has three
+terms and the unit triangle's seven.  A monomial's image is therefore built
+at the polytope level: its positive exponents fold into one Minkowski sum,
+which is crossed with the signed face lists of its inverses, and each
+resulting polytope is decomposed into cells once.
 
 Kernel membership is decided semantically: map the polynomial through the
 surjection and test the canonical simple function for zero.  Declared
@@ -84,7 +94,6 @@ class Presentation:
         self.generators = {g.name: g for g in generators}
         self.ambient = ambients.pop()
         self.declared = tuple(declared)
-        self._power_cache: dict = {}
         self._mono_cache: dict = {}
         if check:
             for g in self.declared:
@@ -102,44 +111,45 @@ class Presentation:
     # -- the surjection ------------------------------------------------------
 
     def generator_power(self, name: str, exp: int) -> sf.SimpleFunction:
-        key = (name, exp)
-        cached = self._power_cache.get(key)
-        if cached is not None:
-            return cached
         if name not in self.generators:
             raise KeyError(f"unknown generator {name!r} in ring {self.ring_id}")
-        gen = self.generators[name]
         if exp == 0:
-            fn = self.unit()
-        elif exp > 0:
-            fn = sf.indicator(geo.scale(gen.polytope, exp))
-        else:
-            if self.mode != "laurent" or not gen.invertible:
-                raise NonInvertibleError(
-                    f"negative exponent on non-invertible generator {name!r}"
-                )
-            dilated = geo.scale(gen.polytope, -exp)
-            fn = Fraction(-1) ** geo.dim(dilated) * sf.indicator(
-                geo.negate(dilated), "interior")
-        self._power_cache[key] = fn
-        return fn
+            return self.unit()
+        return self._phi_monomial(((name, exp),))
 
     def _phi_monomial(self, m) -> sf.SimpleFunction:
+        """Image of one monomial, built as a signed sum of closed polytopes
+        and decomposed into cells once per polytope."""
         cached = self._mono_cache.get(m)
         if cached is not None:
             return cached
-        fn = self.unit()
+        positive = geo.origin_of(self.ambient)
         inverses = []
         for name, exp in m:
+            gen = self.generators.get(name)
+            if gen is None:
+                raise KeyError(f"unknown generator {name!r} in ring {self.ring_id}")
             if exp > 0:
-                gen = self.generators.get(name)
-                if gen is None:
-                    raise KeyError(f"unknown generator {name!r} in ring {self.ring_id}")
-                fn = sf.multiply_by_indicator(fn, geo.scale(gen.polytope, exp))
-            else:
-                inverses.append(self.generator_power(name, exp))
-        for inv in inverses:
-            fn = sf.multiply(fn, inv)
+                positive = geo.minkowski_sum(positive, geo.scale(gen.polytope, exp))
+            elif exp < 0:
+                if self.mode != "laurent" or not gen.invertible:
+                    raise NonInvertibleError(
+                        f"negative exponent on non-invertible generator {name!r}"
+                    )
+                inverses.append(geo.faces(geo.negate(geo.scale(gen.polytope, -exp))))
+        signed = {positive: 1}
+        for faces in inverses:
+            crossed: dict = {}
+            for p, sign in signed.items():
+                for face in faces:
+                    q = geo.minkowski_sum(p, face)
+                    crossed[q] = crossed.get(q, 0) + sign * (-1) ** geo.dim(face)
+            signed = {q: sign for q, sign in crossed.items() if sign}
+        acc: dict = {}
+        for p, sign in signed.items():
+            for cell in geo.decompose_cells(p):
+                acc[cell] = acc.get(cell, 0) + sign
+        fn = sf.SimpleFunction(self.ambient, acc)
         self._mono_cache[m] = fn
         return fn
 

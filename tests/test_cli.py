@@ -91,12 +91,15 @@ def test_parse_gridset():
 # -- golden reports --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fname,argv", [
+GOLDEN_CASES = [
     ("member_g1.txt", ["member", "--ring", "coxeter", "(y1-1)*(y1-x1)"]),
     ("member_x1.txt", ["member", "--ring", "coxeter", "x1"]),
     ("identity_triangle.txt",
      ["identity", "--polytope", "triangle", "--cover", "edge:OA,vertex:B"]),
-])
+]
+
+
+@pytest.mark.parametrize("fname,argv", GOLDEN_CASES)
 def test_golden_reports(fname, argv):
     code, text = run(argv)
     assert code == 0
@@ -125,6 +128,24 @@ def test_member_errors_exit_nonzero(capsys):
     assert main(["member", "--ring", "nope", "x"], io.StringIO()) == 1
     assert main(["member", "--ring", "box:1", "y^-1"], io.StringIO()) == 1
     capsys.readouterr()
+
+
+def test_deep_nesting_is_a_one_line_error(capsys):
+    text = "(" * 400 + "(z-1)*(z-y3)" + ")" * 400
+    code, report = run(["member", "--ring", "coxeter", text])
+    err = capsys.readouterr().err
+    assert code == 1 and report == ""
+    assert err.splitlines() == ["error: nesting deeper than 100 (at position 100)"]
+    shallow = "(" * 99 + "(z-1)*(z-y3)" + ")" * 99
+    code, report = run(["member", "--ring", "coxeter", shallow])
+    assert code == 0 and "result: true" in report.splitlines()
+
+
+def test_consecutive_calls_match_golden_reports():
+    for fname, argv in GOLDEN_CASES + GOLDEN_CASES[::-1]:
+        code, text = run(argv)
+        assert code == 0
+        assert text.encode() == (GOLDEN / fname).read_bytes()
 
 
 def test_euler_verb():

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minkring.geometry as geo
 import minkring.simplefn as sf
 from minkring.cli import parse_poly
-from minkring.laurent import LaurentPoly
+from minkring.laurent import LaurentPoly, monomial
+from minkring.products import product_presentation
 from minkring.presentations import (NonInvertibleError, PrincipalShape,
                                     WitnessError, box_ring, classify_principal,
                                     coxeter_nonredundancy_witnesses,
@@ -237,3 +240,62 @@ def test_point_ring_and_document():
     doc = coxeter_ring().document()
     assert doc.splitlines()[0] == "minkring-presentation v1"
     assert "generator: z -> grid[u:0..1, v:0..1, s:0..1] (invertible)" in doc
+
+
+# -- monomial images against the factor-by-factor product ----------------------
+
+
+DIFFERENTIAL_RINGS = {
+    "coxeter": coxeter_ring,
+    "box:2:signed": lambda: box_ring(2, signed=True),
+    "box:3:signed": lambda: box_ring(3, signed=True),
+    "interval:1,2:laurent": lambda: interval_ring(1, 2, mode="laurent"),
+    "interval:1,sqrt2:laurent": lambda: interval_ring(1, SQRT2, mode="laurent"),
+    "interval:-1,sqrt2:laurent": lambda: interval_ring(-1, SQRT2, mode="laurent"),
+    "product:box:1:signed,coxeter": lambda: product_presentation(
+        box_ring(1, signed=True), coxeter_ring()).combined,
+}
+
+
+def _factor_chain_image(ring, m) -> sf.SimpleFunction:
+    """Reference image of a monomial: one ring product per factor, each
+    factor the closed indicator of kP or (-1)^d times the open -kP."""
+    fn = ring.unit()
+    for name, exp in m:
+        dilated = geo.scale(ring.generators[name].polytope, abs(exp))
+        if exp > 0:
+            factor = sf.indicator(dilated)
+        else:
+            factor = (-1) ** geo.dim(dilated) * sf.indicator(
+                geo.negate(dilated), "interior")
+        fn = sf.multiply(fn, factor)
+    return fn
+
+
+@pytest.mark.parametrize("ring_id", sorted(DIFFERENTIAL_RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_phi_monomial_matches_factor_chain(ring_id, data):
+    ring = DIFFERENTIAL_RINGS[ring_id]()
+    names = data.draw(st.lists(st.sampled_from(ring.names()), min_size=1,
+                               max_size=3, unique=True))
+    exps = data.draw(st.lists(st.integers(-3, 3), min_size=len(names),
+                              max_size=len(names)))
+    m = monomial(dict(zip(names, exps)))
+    assert ring._phi_monomial(m) == _factor_chain_image(ring, m)
+    if len(m) == 1:
+        assert ring.generator_power(*m[0]) == ring._phi_monomial(m)
+
+
+def test_phi_monomial_errors():
+    with pytest.raises(NonInvertibleError):
+        box_ring(2).generator_power("y1", -1)
+    with pytest.raises(NonInvertibleError):
+        interval_ring(1, 2).phi(parse_poly("x*z^-2"))
+    ring = coxeter_ring()
+    assert ring.generator_power("z", 0) == ring.unit()
+    for m in ((("q", 1),), (("q", -1),), (("x1", 1), ("q", 2))):
+        with pytest.raises(KeyError):
+            ring._phi_monomial(m)
+    with pytest.raises(KeyError):
+        ring.generator_power("q", 0)
