@@ -7,20 +7,24 @@ Four families are modeled, each closed under Minkowski sums:
 * convex polygons of the regular triangular grid           (:class:`GridSet`),
 * finite Cartesian products of box/grid polytopes          (:class:`ProductPolytope`).
 
-Grid polygons live in lattice coordinates: the plane is spanned by the two
-unit steps of the triangular lattice, so every grid computation is pure
-integer arithmetic and the geometric slopes never materialize.  A
-:class:`GridSet` keeps six bounds
-
-    u_min <= u <= u_max,   v_min <= v <= v_max,   s_min <= u + v <= s_max
-
-and is canonical: every bound is attained by a point of the set, and empty
-bound systems are rejected at construction.
+Each family is a system of tight bounds ``lo <= f <= hi`` on fixed linear
+forms f: t on the line, the coordinates of a box, and u, v and u + v in
+the integer lattice coordinates of the grid, whose lines are their level
+lines; a product concatenates its parts' forms.  Tight bounds are the
+support function on the forms (McMullen, *The polytope algebra*, 1989),
+so sums, dilations, negation, translation, intersection and containment
+act on the bounds alone, and a proper face pins a non-constant form to
+one of its bounds.  Each family gives its bounds as ``pairs()``, rebuilds
+itself from pairs with ``rebuild(pairs)`` (tightening a grid system, whose
+forms are dependent) and evaluates its forms at a point with ``forms(x)``.
+Empty systems and non-integral box or grid coordinates are rejected.
 
 Every polytope decomposes canonically into relatively open cells: lattice
 vertices, open unit edges in the three grid directions, open unit up/down
 triangles, 1-D points and open intervals, unit box cells, and products of
-those.  All values are immutable; all operations are pure functions.
+those.  A cell is the relative interior of its closure: equality on the
+closure's pinned forms (lo == hi), strict bounds on its free ones.  All
+values are immutable; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Tuple, Union
+from typing import ClassVar, Iterable, Tuple, Union
 
 from .scalars import Scalar, ScalarLike
 
@@ -40,6 +44,14 @@ class FamilyMismatchError(ValueError):
 
 class EmptyRegionError(ValueError):
     """The bound system describes the empty set."""
+
+
+def _lattice(x) -> int:
+    """A coordinate of a lattice family, which must be integral."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"non-integral lattice coordinate {x!r}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +97,18 @@ class Interval:
 
     def __post_init__(self):
         if (self.hi - self.lo).sign() < 0:
-            raise ValueError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
+            raise EmptyRegionError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
         if self.mode == "rational" and not (self.lo.is_rational and self.hi.is_rational):
             raise ValueError("irrational endpoint in rational-mode interval")
+
+    def pairs(self) -> tuple:
+        return ((self.lo, self.hi),)
+
+    def rebuild(self, pairs) -> "Interval":
+        return Interval(*pairs[0], self.mode)
+
+    def forms(self, x) -> tuple:
+        return (Scalar.of(x),)
 
 
 def interval(lo: ScalarLike, hi: ScalarLike, mode: str | None = None) -> Interval:
@@ -113,15 +134,24 @@ class Box:
             raise ValueError("box needs matching, nonempty bound tuples")
         for a, b in zip(self.los, self.his):
             if a > b:
-                raise ValueError(f"box needs a_i <= b_i, got [{a}, {b}]")
+                raise EmptyRegionError(f"box needs a_i <= b_i, got [{a}, {b}]")
+
+    def pairs(self) -> tuple:
+        return tuple(zip(self.los, self.his))
+
+    def rebuild(self, pairs) -> "Box":
+        return Box(*zip(*pairs))
+
+    def forms(self, x) -> tuple:
+        return tuple(x)
 
 
 def box(los: Iterable[int], his: Iterable[int]) -> Box:
-    return Box(tuple(int(a) for a in los), tuple(int(b) for b in his))
+    return Box(tuple(_lattice(a) for a in los), tuple(_lattice(b) for b in his))
 
 
 def box_point(coords: Iterable[int]) -> Box:
-    c = tuple(int(x) for x in coords)
+    c = tuple(_lattice(x) for x in coords)
     return Box(c, c)
 
 
@@ -137,14 +167,24 @@ class GridSet:
     s_max: int
 
     def __post_init__(self):
-        tight = _tighten(self.u_min, self.u_max, self.v_min, self.v_max,
-                         self.s_min, self.s_max)
-        if tight != (self.u_min, self.u_max, self.v_min, self.v_max,
-                     self.s_min, self.s_max):
+        tight = _tighten(*self.bounds())
+        if tight != self.bounds():
             raise ValueError(f"grid bounds not canonical: {self} vs {tight}")
 
     def bounds(self) -> tuple:
         return (self.u_min, self.u_max, self.v_min, self.v_max, self.s_min, self.s_max)
+
+    def pairs(self) -> tuple:
+        return ((self.u_min, self.u_max), (self.v_min, self.v_max),
+                (self.s_min, self.s_max))
+
+    def rebuild(self, pairs) -> "GridSet":
+        (u0, u1), (v0, v1), (s0, s1) = pairs
+        return grid_set(u0, u1, v0, v1, s0, s1)
+
+    def forms(self, x) -> tuple:
+        u, v = x
+        return (u, v, u + v)
 
 
 def _tighten(u0, u1, v0, v1, s0, s1):
@@ -191,6 +231,17 @@ class ProductPolytope:
                 raise FamilyMismatchError(
                     f"product parts must be Box or GridSet, got {type(p).__name__}"
                 )
+
+    def pairs(self) -> tuple:
+        return tuple(pair for q in self.parts for pair in q.pairs())
+
+    def rebuild(self, pairs) -> "ProductPolytope":
+        rest = iter(pairs)  # each part takes as many pairs as it has forms
+        return ProductPolytope(tuple(
+            q.rebuild(tuple(itertools.islice(rest, len(q.pairs())))) for q in self.parts))
+
+    def forms(self, x) -> tuple:
+        return tuple(f for q, xq in zip(self.parts, x) for f in q.forms(xq))
 
 
 def product(*parts) -> ProductPolytope:
@@ -250,24 +301,18 @@ def dim(p: Polytope) -> int:
     raise TypeError(f"not a polytope: {p!r}")
 
 
-def _check_family(a: Polytope, b: Polytope) -> None:
+def _paired(a: Polytope, b: Polytope):
+    """The bound pairs of a and b side by side; both must be one family."""
     if type(a) is not type(b) or ambient_of(a) != ambient_of(b):
         raise FamilyMismatchError(
             f"mismatched families: {type(a).__name__} vs {type(b).__name__}"
         )
+    return zip(a.pairs(), b.pairs())
 
 
 def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
-    """Minkowski sum within one family; six-bound (per-axis) addition."""
-    _check_family(a, b)
-    if isinstance(a, Interval):
-        return Interval(a.lo + b.lo, a.hi + b.hi, a.mode)
-    if isinstance(a, Box):
-        return Box(tuple(x + y for x, y in zip(a.los, b.los)),
-                   tuple(x + y for x, y in zip(a.his, b.his)))
-    if isinstance(a, GridSet):
-        return grid_set(*(x + y for x, y in zip(a.bounds(), b.bounds())))
-    return ProductPolytope(tuple(minkowski_sum(x, y) for x, y in zip(a.parts, b.parts)))
+    """Minkowski sum within one family: the bounds add."""
+    return a.rebuild(tuple((la + lb, ha + hb) for (la, ha), (lb, hb) in _paired(a, b)))
 
 
 def scale(p: Polytope, k: int) -> Polytope:
@@ -275,59 +320,44 @@ def scale(p: Polytope, k: int) -> Polytope:
     origin point of the same block."""
     if k < 0:
         raise ValueError("scale needs k >= 0")
-    if k == 0:
-        return origin_of(ambient_of(p))
-    if isinstance(p, Interval):
-        return Interval(p.lo * k, p.hi * k, p.mode)
-    if isinstance(p, Box):
-        return Box(tuple(a * k for a in p.los), tuple(b * k for b in p.his))
-    if isinstance(p, GridSet):
-        return grid_set(*(b * k for b in p.bounds()))
-    if isinstance(p, ProductPolytope):
-        return ProductPolytope(tuple(scale(q, k) for q in p.parts))
-    raise TypeError(f"not a polytope: {p!r}")
+    return p.rebuild(tuple((lo * k, hi * k) for lo, hi in p.pairs()))
 
 
 def negate(p: Polytope) -> Polytope:
-    if isinstance(p, Interval):
-        return Interval(-p.hi, -p.lo, p.mode)
-    if isinstance(p, Box):
-        return Box(tuple(-b for b in p.his), tuple(-a for a in p.los))
-    if isinstance(p, GridSet):
-        return GridSet(-p.u_max, -p.u_min, -p.v_max, -p.v_min, -p.s_max, -p.s_min)
-    if isinstance(p, ProductPolytope):
-        return ProductPolytope(tuple(negate(q) for q in p.parts))
-    raise TypeError(f"not a polytope: {p!r}")
+    return p.rebuild(tuple((-hi, -lo) for lo, hi in p.pairs()))
 
 
 def translate(p: Polytope, offset) -> Polytope:
-    if isinstance(p, Interval):
-        d = Scalar.of(offset)
-        return Interval(p.lo + d, p.hi + d, p.mode)
-    if isinstance(p, Box):
-        off = tuple(int(x) for x in offset)
-        return Box(tuple(a + d for a, d in zip(p.los, off)),
-                   tuple(b + d for b, d in zip(p.his, off)))
-    if isinstance(p, GridSet):
-        du, dv = int(offset[0]), int(offset[1])
-        return GridSet(p.u_min + du, p.u_max + du, p.v_min + dv, p.v_max + dv,
-                       p.s_min + du + dv, p.s_max + du + dv)
-    if isinstance(p, ProductPolytope):
-        return ProductPolytope(tuple(translate(q, o) for q, o in zip(p.parts, offset)))
-    raise TypeError(f"not a polytope: {p!r}")
+    """p moved by offset, given in the ambient coordinates (Scalar on the
+    line, integer tuples elsewhere)."""
+    shift = p.forms(offset)
+    if not isinstance(p, Interval):
+        shift = tuple(_lattice(d) for d in shift)
+    return p.rebuild(tuple((lo + d, hi + d) for (lo, hi), d in zip(p.pairs(), shift)))
+
+
+def contains_point(p: Polytope, x) -> bool:
+    """Exact membership of a point given in the ambient coordinates
+    (Scalar on the line, Fraction pairs/tuples elsewhere)."""
+    return all(lo <= f <= hi for (lo, hi), f in zip(p.pairs(), p.forms(x)))
+
+
+def contains_polytope(outer: Polytope, inner: Polytope) -> bool:
+    return all(ol <= il and ih <= oh for (ol, oh), (il, ih) in _paired(outer, inner))
+
+
+def intersect(a: Polytope, b: Polytope) -> Polytope:
+    """Intersection within one family; raises EmptyRegionError when empty.
+
+    Used as an independent membership oracle: x is in P + Q exactly when
+    P meets x - Q.
+    """
+    return a.rebuild(tuple((max(la, lb), min(ha, hb))
+                           for (la, ha), (lb, hb) in _paired(a, b)))
 
 
 # ---------------------------------------------------------------------------
 # face lattice
-
-
-def _grid_pinned(g: GridSet):
-    yield grid_set(g.u_min, g.u_min, g.v_min, g.v_max, g.s_min, g.s_max)
-    yield grid_set(g.u_max, g.u_max, g.v_min, g.v_max, g.s_min, g.s_max)
-    yield grid_set(g.u_min, g.u_max, g.v_min, g.v_min, g.s_min, g.s_max)
-    yield grid_set(g.u_min, g.u_max, g.v_max, g.v_max, g.s_min, g.s_max)
-    yield grid_set(g.u_min, g.u_max, g.v_min, g.v_max, g.s_min, g.s_min)
-    yield grid_set(g.u_min, g.u_max, g.v_min, g.v_max, g.s_max, g.s_max)
 
 
 def polytope_sort_key(p: Polytope):
@@ -344,33 +374,24 @@ def polytope_sort_key(p: Polytope):
 
 @lru_cache(maxsize=None)
 def faces(p: Polytope) -> tuple:
-    """All nonempty faces of p, including p itself, in canonical order."""
-    if isinstance(p, Interval):
-        if p.lo == p.hi:
-            return (p,)
-        out = {p, Interval(p.lo, p.lo, p.mode), Interval(p.hi, p.hi, p.mode)}
-    elif isinstance(p, Box):
-        axis_options = []
-        for a, b in zip(p.los, p.his):
-            axis_options.append([(a, a)] if a == b else [(a, a), (b, b), (a, b)])
-        out = {
-            Box(tuple(x[0] for x in combo), tuple(x[1] for x in combo))
-            for combo in itertools.product(*axis_options)
-        }
-    elif isinstance(p, GridSet):
-        out = {p}
-        if dim(p) > 0:
-            for f in _grid_pinned(p):
-                if f != p:
-                    out.update(faces(f))
-    elif isinstance(p, ProductPolytope):
-        out = {
-            ProductPolytope(combo)
-            for combo in itertools.product(*(faces(q) for q in p.parts))
-        }
-    else:
-        raise TypeError(f"not a polytope: {p!r}")
+    """All nonempty faces of p, including p itself, in canonical order:
+    p, and the faces of each pinning of one non-constant form of p to its
+    lower or upper bound, which come through the cache."""
+    out = {p}
+    pairs = p.pairs()
+    for i, (lo, hi) in enumerate(pairs):
+        if lo != hi:
+            for end in (lo, hi):
+                out.update(faces(p.rebuild(pairs[:i] + ((end, end),) + pairs[i + 1:])))
     return tuple(sorted(out, key=polytope_sort_key))
+
+
+def relint_faces(p: Polytope) -> tuple:
+    """(face, sign) pairs of inclusion-exclusion over the face lattice:
+
+        [relint P] = sum over faces F of (-1)^(dim P - dim F) [F]."""
+    d = dim(p)
+    return tuple((f, (-1) ** (d - dim(f))) for f in faces(p))
 
 
 def vertices(p: Polytope) -> tuple:
@@ -390,111 +411,68 @@ def vertex_coords(p: Polytope):
     return tuple(vertex_coords(q) for q in p.parts)
 
 
-def contains_point(p: Polytope, x) -> bool:
-    """Exact membership of a point given in the ambient coordinates
-    (Scalar on the line, Fraction pairs/tuples elsewhere)."""
-    if isinstance(p, Interval):
-        t = Scalar.of(x)
-        return (t - p.lo).sign() >= 0 and (p.hi - t).sign() >= 0
-    if isinstance(p, Box):
-        return all(a <= xi <= b for a, b, xi in zip(p.los, p.his, x))
-    if isinstance(p, GridSet):
-        u, v = x
-        return (p.u_min <= u <= p.u_max and p.v_min <= v <= p.v_max
-                and p.s_min <= u + v <= p.s_max)
-    if isinstance(p, ProductPolytope):
-        return all(contains_point(q, xq) for q, xq in zip(p.parts, x))
-    raise TypeError(f"not a polytope: {p!r}")
-
-
-def contains_polytope(outer: Polytope, inner: Polytope) -> bool:
-    _check_family(outer, inner)
-    if isinstance(outer, Interval):
-        return (inner.lo - outer.lo).sign() >= 0 and (outer.hi - inner.hi).sign() >= 0
-    if isinstance(outer, Box):
-        return all(oa <= ia and ib <= ob for oa, ob, ia, ib
-                   in zip(outer.los, outer.his, inner.los, inner.his))
-    if isinstance(outer, GridSet):
-        return (outer.u_min <= inner.u_min and inner.u_max <= outer.u_max
-                and outer.v_min <= inner.v_min and inner.v_max <= outer.v_max
-                and outer.s_min <= inner.s_min and inner.s_max <= outer.s_max)
-    return all(contains_polytope(o, i) for o, i in zip(outer.parts, inner.parts))
-
-
-def intersect(a: Polytope, b: Polytope) -> Polytope:
-    """Intersection within one family; raises EmptyRegionError when empty.
-
-    Used as an independent membership oracle: x is in P + Q exactly when
-    P meets x - Q.
-    """
-    _check_family(a, b)
-    if isinstance(a, Interval):
-        lo = a.lo if (a.lo - b.lo).sign() >= 0 else b.lo
-        hi = a.hi if (b.hi - a.hi).sign() >= 0 else b.hi
-        if (hi - lo).sign() < 0:
-            raise EmptyRegionError("empty interval intersection")
-        return Interval(lo, hi, a.mode)
-    if isinstance(a, Box):
-        los = tuple(max(x, y) for x, y in zip(a.los, b.los))
-        his = tuple(min(x, y) for x, y in zip(a.his, b.his))
-        if any(l > h for l, h in zip(los, his)):
-            raise EmptyRegionError("empty box intersection")
-        return Box(los, his)
-    if isinstance(a, GridSet):
-        return grid_set(max(a.u_min, b.u_min), min(a.u_max, b.u_max),
-                        max(a.v_min, b.v_min), min(a.v_max, b.v_max),
-                        max(a.s_min, b.s_min), min(a.s_max, b.s_max))
-    return ProductPolytope(tuple(intersect(x, y) for x, y in zip(a.parts, b.parts)))
-
-
 # ---------------------------------------------------------------------------
 # canonical cells
 
 
+_THIRD, _HALF = Fraction(1, 3), Fraction(1, 2)
+
+
 @dataclass(frozen=True)
-class GridVertex:
+class _GridCell:
+    """Relatively open cell of the unit triangulation, anchored at (u, v).
+
+    Each subclass is one row of the cell table: its sort RANK, its DIM, the
+    CLOSURE offsets added to the bounds (u, u, v, v, u+v, u+v) of the
+    anchor, and an interior POINT as an offset from the anchor.
+    """
+
     u: int
     v: int
+    RANK: ClassVar[int]
+    DIM: ClassVar[int]
+    CLOSURE: ClassVar[tuple]
+    POINT: ClassVar[tuple]
 
 
-@dataclass(frozen=True)
-class GridEdgeU:
+class GridVertex(_GridCell):
+    """Lattice point (u, v)."""
+
+    RANK, DIM, CLOSURE, POINT = 0, 0, (0, 0, 0, 0, 0, 0), (Fraction(0), Fraction(0))
+
+
+class GridEdgeU(_GridCell):
     """Open unit edge from (u, v) to (u+1, v)."""
 
-    u: int
-    v: int
+    RANK, DIM, CLOSURE, POINT = 1, 1, (0, 1, 0, 0, 0, 1), (_HALF, Fraction(0))
 
 
-@dataclass(frozen=True)
-class GridEdgeV:
+class GridEdgeV(_GridCell):
     """Open unit edge from (u, v) to (u, v+1)."""
 
-    u: int
-    v: int
+    RANK, DIM, CLOSURE, POINT = 2, 1, (0, 0, 0, 1, 0, 1), (Fraction(0), _HALF)
 
 
-@dataclass(frozen=True)
-class GridEdgeS:
+class GridEdgeS(_GridCell):
     """Open unit edge from (u+1, v) to (u, v+1), on the line s = u+v+1."""
 
-    u: int
-    v: int
+    RANK, DIM, CLOSURE, POINT = 3, 1, (0, 1, 0, 1, 1, 1), (_HALF, _HALF)
 
 
-@dataclass(frozen=True)
-class GridTriUp:
+class GridTriUp(_GridCell):
     """Open triangle with vertices (u, v), (u+1, v), (u, v+1)."""
 
-    u: int
-    v: int
+    RANK, DIM, CLOSURE, POINT = 4, 2, (0, 1, 0, 1, 0, 1), (_THIRD, _THIRD)
 
 
-@dataclass(frozen=True)
-class GridTriDown:
+class GridTriDown(_GridCell):
     """Open triangle with vertices (u+1, v), (u, v+1), (u+1, v+1)."""
 
-    u: int
-    v: int
+    RANK, DIM, CLOSURE, POINT = 5, 2, (0, 1, 0, 1, 1, 2), (2 * _THIRD, 2 * _THIRD)
+
+
+_GRID_CELLS = tuple((kind,) + kind.CLOSURE for kind in (
+    GridVertex, GridEdgeU, GridEdgeV, GridEdgeS, GridTriUp, GridTriDown))
 
 
 @dataclass(frozen=True)
@@ -524,20 +502,16 @@ class ProductCell:
     parts: tuple
 
 
-Cell = Union[GridVertex, GridEdgeU, GridEdgeV, GridEdgeS, GridTriUp, GridTriDown,
-             Point1D, OpenInterval1D, BoxCell, ProductCell]
-
-_GRID_CELL_RANK = {GridVertex: 0, GridEdgeU: 1, GridEdgeV: 2, GridEdgeS: 3,
-                   GridTriUp: 4, GridTriDown: 5}
+Cell = Union[_GridCell, Point1D, OpenInterval1D, BoxCell, ProductCell]
 
 
 def cell_dim(c: Cell) -> int:
-    if isinstance(c, (GridVertex, Point1D)):
+    if isinstance(c, _GridCell):
+        return c.DIM
+    if isinstance(c, Point1D):
         return 0
-    if isinstance(c, (GridEdgeU, GridEdgeV, GridEdgeS, OpenInterval1D)):
+    if isinstance(c, OpenInterval1D):
         return 1
-    if isinstance(c, (GridTriUp, GridTriDown)):
-        return 2
     if isinstance(c, BoxCell):
         return sum(1 for _, open_ in c.axes if open_)
     if isinstance(c, ProductCell):
@@ -546,9 +520,8 @@ def cell_dim(c: Cell) -> int:
 
 
 def cell_sort_key(c: Cell):
-    if isinstance(c, (GridVertex, GridEdgeU, GridEdgeV, GridEdgeS,
-                      GridTriUp, GridTriDown)):
-        return (cell_dim(c), _GRID_CELL_RANK[type(c)], c.u, c.v)
+    if isinstance(c, _GridCell):
+        return (c.DIM, c.RANK, c.u, c.v)
     if isinstance(c, Point1D):
         return (0, 0, c.at.p, c.at.q)
     if isinstance(c, OpenInterval1D):
@@ -567,22 +540,13 @@ def cell_closure(c: Cell, line_mode: str | None = None) -> Polytope:
     must be supplied to close them inside a sqrt2-mode line; otherwise the
     mode is inferred from the endpoint values.
     """
-    if isinstance(c, GridVertex):
-        return grid_point_set(c.u, c.v)
-    if isinstance(c, GridEdgeU):
-        return GridSet(c.u, c.u + 1, c.v, c.v, c.u + c.v, c.u + c.v + 1)
-    if isinstance(c, GridEdgeV):
-        return GridSet(c.u, c.u, c.v, c.v + 1, c.u + c.v, c.u + c.v + 1)
-    if isinstance(c, GridEdgeS):
-        return GridSet(c.u, c.u + 1, c.v, c.v + 1, c.u + c.v + 1, c.u + c.v + 1)
-    if isinstance(c, GridTriUp):
-        return GridSet(c.u, c.u + 1, c.v, c.v + 1, c.u + c.v, c.u + c.v + 1)
-    if isinstance(c, GridTriDown):
-        return GridSet(c.u, c.u + 1, c.v, c.v + 1, c.u + c.v + 1, c.u + c.v + 2)
+    if isinstance(c, _GridCell):
+        s = c.u + c.v
+        return GridSet(*(b + d for b, d in zip((c.u, c.u, c.v, c.v, s, s), c.CLOSURE)))
     if isinstance(c, Point1D):
-        return Interval(c.at, c.at, line_mode or _line_mode(c.at))
+        return interval(c.at, c.at, line_mode)
     if isinstance(c, OpenInterval1D):
-        return Interval(c.lo, c.hi, line_mode or _line_mode(c.lo, c.hi))
+        return interval(c.lo, c.hi, line_mode)
     if isinstance(c, BoxCell):
         return Box(tuple(k for k, _ in c.axes),
                    tuple(k + 1 if open_ else k for k, open_ in c.axes))
@@ -591,94 +555,31 @@ def cell_closure(c: Cell, line_mode: str | None = None) -> Polytope:
     raise TypeError(f"not a cell: {c!r}")
 
 
-def _line_mode(*xs: Scalar) -> str:
-    return "rational" if all(x.is_rational for x in xs) else "sqrt2"
-
-
 def cell_representative(c: Cell):
     """One exact point in the relative interior of the cell."""
-    third, two_thirds, half = Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)
-    if isinstance(c, GridVertex):
-        return (Fraction(c.u), Fraction(c.v))
-    if isinstance(c, GridEdgeU):
-        return (c.u + half, Fraction(c.v))
-    if isinstance(c, GridEdgeV):
-        return (Fraction(c.u), c.v + half)
-    if isinstance(c, GridEdgeS):
-        return (c.u + half, c.v + half)
-    if isinstance(c, GridTriUp):
-        return (c.u + third, c.v + third)
-    if isinstance(c, GridTriDown):
-        return (c.u + two_thirds, c.v + two_thirds)
+    if isinstance(c, _GridCell):
+        return (c.u + c.POINT[0], c.v + c.POINT[1])
     if isinstance(c, Point1D):
         return c.at
     if isinstance(c, OpenInterval1D):
         return (c.lo + c.hi) / 2
     if isinstance(c, BoxCell):
-        return tuple(k + half if open_ else Fraction(k) for k, open_ in c.axes)
+        return tuple(k + _HALF if open_ else Fraction(k) for k, open_ in c.axes)
     if isinstance(c, ProductCell):
         return tuple(cell_representative(q) for q in c.parts)
     raise TypeError(f"not a cell: {c!r}")
 
 
 def cell_contains(c: Cell, x) -> bool:
-    if isinstance(c, GridVertex):
-        return x[0] == c.u and x[1] == c.v
-    if isinstance(c, GridEdgeU):
-        return x[1] == c.v and c.u < x[0] < c.u + 1
-    if isinstance(c, GridEdgeV):
-        return x[0] == c.u and c.v < x[1] < c.v + 1
-    if isinstance(c, GridEdgeS):
-        return x[0] + x[1] == c.u + c.v + 1 and c.u < x[0] < c.u + 1
-    if isinstance(c, GridTriUp):
-        return x[0] > c.u and x[1] > c.v and x[0] + x[1] < c.u + c.v + 1
-    if isinstance(c, GridTriDown):
-        return x[0] < c.u + 1 and x[1] < c.v + 1 and x[0] + x[1] > c.u + c.v + 1
-    if isinstance(c, Point1D):
-        return Scalar.of(x) == c.at
-    if isinstance(c, OpenInterval1D):
-        t = Scalar.of(x)
-        return (t - c.lo).sign() > 0 and (c.hi - t).sign() > 0
-    if isinstance(c, BoxCell):
-        for (k, open_), xi in zip(c.axes, x):
-            if open_:
-                if not (k < xi < k + 1):
-                    return False
-            elif xi != k:
-                return False
-        return True
-    if isinstance(c, ProductCell):
-        return all(cell_contains(q, xq) for q, xq in zip(c.parts, x))
-    raise TypeError(f"not a cell: {c!r}")
+    """Membership in the cell, the relative interior of its closure:
+    equality on the closure's pinned forms, strict bounds on its free ones."""
+    closure = cell_closure(c)
+    return all(f == lo if lo == hi else lo < f < hi
+               for (lo, hi), f in zip(closure.pairs(), closure.forms(x)))
 
 
 # ---------------------------------------------------------------------------
 # canonical decomposition into cells
-
-
-def _grid_cells(g: GridSet) -> list:
-    cells = []
-    for u in range(g.u_min, g.u_max + 1):
-        for v in range(g.v_min, g.v_max + 1):
-            if g.s_min <= u + v <= g.s_max:
-                cells.append(GridVertex(u, v))
-    for u in range(g.u_min, g.u_max):
-        for v in range(g.v_min, g.v_max + 1):
-            if g.s_min <= u + v and u + v + 1 <= g.s_max:
-                cells.append(GridEdgeU(u, v))
-    for u in range(g.u_min, g.u_max + 1):
-        for v in range(g.v_min, g.v_max):
-            if g.s_min <= u + v and u + v + 1 <= g.s_max:
-                cells.append(GridEdgeV(u, v))
-    for u in range(g.u_min, g.u_max):
-        for v in range(g.v_min, g.v_max):
-            if g.s_min <= u + v + 1 <= g.s_max:
-                cells.append(GridEdgeS(u, v))
-            if g.s_min <= u + v and u + v + 1 <= g.s_max:
-                cells.append(GridTriUp(u, v))
-            if g.s_min <= u + v + 1 and u + v + 2 <= g.s_max:
-                cells.append(GridTriDown(u, v))
-    return cells
 
 
 @lru_cache(maxsize=None)
@@ -698,8 +599,17 @@ def decompose_cells(p: Polytope) -> tuple:
                     opts.append((k, True))
             axis_cells.append(opts)
         return tuple(BoxCell(combo) for combo in itertools.product(*axis_cells))
-    if isinstance(p, GridSet):
-        return tuple(_grid_cells(p))
+    if isinstance(p, GridSet):  # every cell whose closure lies in p, kind by kind
+        cells = []
+        u0, u1, v0, v1, s0, s1 = p.bounds()
+        for kind, du0, du1, dv0, dv1, ds0, ds1 in _GRID_CELLS:
+            v_min, v_max = v0 - dv0, v1 - dv1
+            for u in range(u0 - du0, u1 - du1 + 1):
+                lo, hi = s0 - ds0 - u, s1 - ds1 - u  # the bounds on u + v, on v
+                lo, hi = lo if lo > v_min else v_min, hi if hi < v_max else v_max
+                for v in range(lo, hi + 1):
+                    cells.append(kind(u, v))
+        return tuple(cells)
     if isinstance(p, ProductPolytope):
         return tuple(
             ProductCell(combo)

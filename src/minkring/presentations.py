@@ -34,7 +34,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from . import geometry as geo
 from . import simplefn as sf
@@ -123,8 +123,7 @@ class Presentation:
         cached = self._mono_cache.get(m)
         if cached is not None:
             return cached
-        positive = geo.origin_of(self.ambient)
-        inverses = []
+        positive, inverses, parity = geo.origin_of(self.ambient), [], 1
         for name, exp in m:
             gen = self.generators.get(name)
             if gen is None:
@@ -136,14 +135,16 @@ class Presentation:
                     raise NonInvertibleError(
                         f"negative exponent on non-invertible generator {name!r}"
                     )
-                inverses.append(geo.faces(geo.negate(geo.scale(gen.polytope, -exp))))
-        signed = {positive: 1}
+                inverse = geo.negate(geo.scale(gen.polytope, -exp))
+                parity *= (-1) ** geo.dim(inverse)
+                inverses.append(geo.relint_faces(inverse))
+        signed = {positive: parity}
         for faces in inverses:
             crossed: dict = {}
             for p, sign in signed.items():
-                for face in faces:
+                for face, face_sign in faces:
                     q = geo.minkowski_sum(p, face)
-                    crossed[q] = crossed.get(q, 0) + sign * (-1) ** geo.dim(face)
+                    crossed[q] = crossed.get(q, 0) + sign * face_sign
             signed = {q: sign for q, sign in crossed.items() if sign}
         acc: dict = {}
         for p, sign in signed.items():

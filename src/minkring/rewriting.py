@@ -30,12 +30,11 @@ the core relation (y3 - x1)(z - 1) = x2 (z - 1 - x1 + x1 z^-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import geometry as geo
 from .geometry import (GridEdgeS, GridEdgeU, GridEdgeV, GridSet, GridTriDown,
                        GridTriUp, GridVertex)
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, poly_sum
 from .presentations import box_ring, coxeter_ring
 
 _X1 = LaurentPoly.var("x1")
@@ -44,15 +43,31 @@ _Y = {i: LaurentPoly.var(f"y{i}") for i in (1, 2, 3)}
 _Z = LaurentPoly.var("z")
 
 
+# Per edge generator: the exponents of the i-th lattice point (i = 0..k)
+# of its k-th power, a segment of length k.
+_EDGE_POINT = {
+    "y": lambda i, k: {"x": i},
+    "y1": lambda i, k: {"x1": i},
+    "y2": lambda i, k: {"x2": i},
+    "y3": lambda i, k: {"x1": i, "x2": k - i},
+}
+
+
+def _edge_points(axis: str, k: int) -> LaurentPoly:
+    """One monomial per lattice point of the k-th power of an edge."""
+    return poly_sum(LaurentPoly.term(_EDGE_POINT[axis](i, k)) for i in range(k + 1))
+
+
+def _open_segment(axis: str) -> LaurentPoly:
+    """Preimage of an edge generator's open segment: minus both endpoints."""
+    return LaurentPoly.var(axis) - _edge_points(axis, 1)
+
+
 def open_edge(i: int) -> LaurentPoly:
     """Preimage of the open unit edge in direction i (the y-ring macro)."""
-    if i == 1:
-        return _Y[1] - 1 - _X1
-    if i == 2:
-        return _Y[2] - 1 - _X2
-    if i == 3:
-        return _Y[3] - _X1 - _X2
-    raise ValueError(f"no edge direction {i}")
+    if i not in (1, 2, 3):
+        raise ValueError(f"no edge direction {i}")
+    return _open_segment(f"y{i}")
 
 
 def open_triangle() -> LaurentPoly:
@@ -122,29 +137,20 @@ def first_normal_form(s: GridSet) -> tuple:
     return p, LaurentPoly.term({"x1": p.a, "x2": p.b}) * c
 
 
-def _piece_of_cell(cell):
-    if isinstance(cell, GridVertex):
-        return (cell.u, cell.v, "1")
-    if isinstance(cell, GridEdgeU):
-        return (cell.u, cell.v, "y1o")
-    if isinstance(cell, GridEdgeV):
-        return (cell.u, cell.v, "y2o")
-    if isinstance(cell, GridEdgeS):
-        return (cell.u, cell.v, "y3o")
-    if isinstance(cell, GridTriUp):
-        return (cell.u, cell.v, "zo")
-    if isinstance(cell, GridTriDown):
-        return (cell.u + 1, cell.v + 1, "zinv")
-    raise TypeError(f"not a grid cell: {cell!r}")
+# Each grid cell kind: its piece, and the shift of the piece's anchor from
+# the cell's (a down-triangle is z^-1 placed at its top vertex).
+_PIECE_OF_CELL = {GridVertex: ("1", 0), GridEdgeU: ("y1o", 0), GridEdgeV: ("y2o", 0),
+                  GridEdgeS: ("y3o", 0), GridTriUp: ("zo", 0), GridTriDown: ("zinv", 1)}
+_PIECE_ORDER = {kind: i for i, kind in enumerate(_PIECE_POLY)}
 
 
 def second_normal_form_pieces(s: GridSet) -> tuple:
     """Open-piece terms (a, b, kind) tiling the polygon disjointly."""
-    pieces = [_piece_of_cell(c) for c in geo.decompose_cells(s)]
+    pieces = []
+    for cell in geo.decompose_cells(s):
+        kind, shift = _PIECE_OF_CELL[type(cell)]
+        pieces.append((cell.u + shift, cell.v + shift, kind))
     return tuple(sorted(pieces, key=lambda t: (_PIECE_ORDER[t[2]], t[0], t[1])))
-
-
-_PIECE_ORDER = {"1": 0, "y1o": 1, "y2o": 2, "y3o": 3, "zo": 4, "zinv": 5}
 
 
 def second_normal_form(s: GridSet) -> LaurentPoly:
@@ -188,17 +194,20 @@ def _open_pieces_sum() -> LaurentPoly:
     return open_edge(1) + open_edge(2) + open_edge(3) + open_triangle()
 
 
+def _tiling(points, n: int) -> LaurentPoly:
+    """points(n) + points(n-1) * (open edges + open triangle)
+    + points(n-2) * x1 x2 z^-1: the open-piece tiling of a triangle (points
+    = triangle_points_poly) or of a strip (points = homogeneous_sum)."""
+    down = _X1 * _X2 * LaurentPoly.var("z", -1)
+    return points(n) + points(n - 1) * _open_pieces_sum() + points(n - 2) * down
+
+
 def triangle_tiling(n: int) -> LaurentPoly:
     """Tiling of z^n by open pieces: f_n + f_(n-1)*(edges+triangle)
     + f_(n-2)*x1*x2*z^-1.  n = 0 returns 1."""
     if n < 0:
         raise ValueError("triangle_tiling needs n >= 0")
-    if n == 0:
-        return LaurentPoly.const(1)
-    down = _X1 * _X2 * LaurentPoly.var("z", -1)
-    return (triangle_points_poly(n)
-            + triangle_points_poly(n - 1) * _open_pieces_sum()
-            + triangle_points_poly(n - 2) * down)
+    return _tiling(triangle_points_poly, n)
 
 
 def edge_tiling(axis: str, n: int) -> LaurentPoly:
@@ -206,27 +215,9 @@ def edge_tiling(axis: str, n: int) -> LaurentPoly:
     unit edges.  Axis 'y' addresses the 1-D box ring alphabet (x, y)."""
     if n < 1:
         raise ValueError("edge_tiling needs n >= 1")
-    if axis == "y":
-        x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
-        pts = sum((LaurentPoly.var("x", i) for i in range(n + 1)),
-                  LaurentPoly.const(0))
-        opens = sum((LaurentPoly.var("x", i) for i in range(n)),
-                    LaurentPoly.const(0))
-        return pts + (y - 1 - x) * opens
-    if axis in ("y1", "y2"):
-        xn = "x1" if axis == "y1" else "x2"
-        pts = sum((LaurentPoly.var(xn, i) for i in range(n + 1)),
-                  LaurentPoly.const(0))
-        opens = sum((LaurentPoly.var(xn, i) for i in range(n)),
-                    LaurentPoly.const(0))
-        return pts + open_edge(1 if axis == "y1" else 2) * opens
-    if axis == "y3":
-        pts = sum((LaurentPoly.term({"x1": i, "x2": n - i}) for i in range(n + 1)),
-                  LaurentPoly.const(0))
-        opens = sum((LaurentPoly.term({"x1": i, "x2": n - 1 - i}) for i in range(n)),
-                    LaurentPoly.const(0))
-        return pts + open_edge(3) * opens
-    raise ValueError(f"unknown axis {axis!r}")
+    if axis not in _EDGE_POINT:
+        raise ValueError(f"unknown axis {axis!r}")
+    return _edge_points(axis, n) + _open_segment(axis) * _edge_points(axis, n - 1)
 
 
 def edge_tiling_ring(axis: str):
@@ -234,7 +225,7 @@ def edge_tiling_ring(axis: str):
 
 
 def verify_edge_tiling(axis: str, n: int) -> bool:
-    power = LaurentPoly.var("y" if axis == "y" else axis, n)
+    power = LaurentPoly.var(axis, n)
     return edge_tiling_ring(axis).kernel_member(power - edge_tiling(axis, n))
 
 
@@ -251,10 +242,7 @@ def strip_identity(n: int) -> LaurentPoly:
     if n < 1:
         raise ValueError("strip_identity needs n >= 1")
     lhs = LaurentPoly.var("z", n) - LaurentPoly.var("z", n - 1)
-    rhs = (homogeneous_sum(n)
-           + homogeneous_sum(n - 1) * _open_pieces_sum()
-           + homogeneous_sum(n - 2) * _X1 * _X2 * LaurentPoly.var("z", -1))
-    return lhs - rhs
+    return lhs - _tiling(homogeneous_sum, n)
 
 
 def strip_edge_identity(n: int) -> LaurentPoly:
@@ -264,10 +252,7 @@ def strip_edge_identity(n: int) -> LaurentPoly:
         raise ValueError("strip_edge_identity needs n >= 1")
     e = LaurentPoly.var("y3", n - 1) if n > 1 else LaurentPoly.const(1)
     lhs = e * _Z - e
-    rhs = (homogeneous_sum(n)
-           + homogeneous_sum(n - 1) * _open_pieces_sum()
-           + homogeneous_sum(n - 2) * _X1 * _X2 * LaurentPoly.var("z", -1))
-    return lhs - rhs
+    return lhs - _tiling(homogeneous_sum, n)
 
 
 def core_identity() -> LaurentPoly:

@@ -23,7 +23,7 @@ open intervals of constant nonzero value, plus point corrections.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import geometry as geo
 from .geometry import (Ambient, Cell, Line, OpenInterval1D, Point1D, Polytope,
@@ -161,12 +161,10 @@ def indicator(p: Polytope, mode: str = "closed") -> SimpleFunction:
         return SimpleFunction(ambient, {c: Fraction(1) for c in geo.decompose_cells(p)})
     if mode != "interior":
         raise ValueError(f"unknown indicator mode {mode!r}")
-    d = geo.dim(p)
     acc: dict = {}
-    for face in geo.faces(p):
-        sign = Fraction(-1) ** (d - geo.dim(face))
+    for face, sign in geo.relint_faces(p):
         for c in geo.decompose_cells(face):
-            acc[c] = acc.get(c, Fraction(0)) + sign
+            acc[c] = acc.get(c, 0) + sign
     return SimpleFunction(ambient, acc)
 
 
@@ -194,12 +192,8 @@ def _closed_basis(f: SimpleFunction) -> dict:
     line_mode = f.ambient.mode if isinstance(f.ambient, Line) else None
     acc: dict = {}
     for cell, coeff in f.terms.items():
-        closure = cell_closure(cell, line_mode)
-        d = geo.dim(closure)
-        for face in geo.faces(closure):
-            sign = Fraction(-1) ** (d - geo.dim(face))
-            key = face
-            acc[key] = acc.get(key, Fraction(0)) + coeff * sign
+        for face, sign in geo.relint_faces(cell_closure(cell, line_mode)):
+            acc[face] = acc.get(face, Fraction(0)) + coeff * sign
     return {p: q for p, q in acc.items() if q}
 
 

@@ -6,7 +6,8 @@ import pytest
 import minkring.geometry as geo
 from minkring.scalars import Scalar
 from conftest import (bounding_grid_cells, naive_grid_member, naive_sum_member,
-                      random_family_polytope, random_gridset)
+                      random_box, random_family_polytope, random_gridset,
+                      random_interval)
 
 OA_EDGE = geo.grid_set(0, 1, 0, 0, 0, 1)
 OB_EDGE = geo.grid_set(0, 0, 0, 1, 0, 1)
@@ -184,3 +185,134 @@ def test_contains_polytope(rng):
         for f in geo.faces(g):
             assert geo.contains_polytope(g, f)
     assert not geo.contains_polytope(OA_EDGE, AB_EDGE)
+
+
+def test_lattice_families_reject_non_integral_coordinates():
+    segment = geo.box((0,), (1,))
+    with pytest.raises(ValueError):
+        geo.translate(segment, (Fraction(1, 2),))
+    with pytest.raises(ValueError):
+        geo.translate(TRI, (Fraction(3, 2), 0))
+    with pytest.raises(ValueError):
+        geo.translate(geo.product(TRI, segment), ((0, 0), (Fraction(1, 3),)))
+    with pytest.raises(ValueError):
+        geo.box((0.5,), (1.7,))
+    with pytest.raises(ValueError):
+        geo.box_point((Fraction(1, 2), 0))
+    # integral values of any numeric type are taken as they are
+    assert geo.box((Fraction(2),), (3.0,)) == geo.box((2,), (3,))
+    assert geo.translate(TRI, (Fraction(2), -1)) == geo.grid_set(2, 3, -1, 0, 1, 2)
+    assert geo.translate(segment, (Fraction(-1),)) == geo.box((-1,), (0,))
+    # the line takes any scalar offset
+    assert geo.translate(geo.interval(0, 1), Fraction(1, 2)) == \
+        geo.interval(Fraction(1, 2), Fraction(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# every family: intervals over Q and Q(sqrt 2), boxes of dimension 1..4,
+# grid polygons, and products of boxes and grid polygons
+
+FAMILIES = ["rational", "sqrt2", "box1", "box2", "box3", "box4", "grid",
+            "grid*box1", "box1*grid", "box2*grid"]
+
+
+def draw(rng, family: str, small: bool = False) -> geo.Polytope:
+    """A random polytope of the family; product parts are drawn small."""
+    if "*" in family:
+        return geo.product(*(draw(rng, part, small=True) for part in family.split("*")))
+    if family in ("rational", "sqrt2"):
+        return random_interval(rng, family)
+    if family == "grid":
+        return random_gridset(rng, span=1, offset=1) if small else random_gridset(rng)
+    d = int(family[3:])
+    return random_box(rng, d=d, span=1 if small or d > 2 else 2)
+
+
+def member(p: geo.Polytope, x) -> bool:
+    """x in p, by the independent oracles of conftest: the six grid
+    inequalities, or x in p + {0} for boxes and intervals."""
+    if isinstance(p, geo.GridSet):
+        return naive_grid_member(p.bounds(), x)
+    if isinstance(p, geo.ProductPolytope):
+        return all(member(q, xq) for q, xq in zip(p.parts, x))
+    return naive_sum_member(p, geo.origin_of(geo.ambient_of(p)), x)
+
+
+def line_samples(ends) -> list:
+    """Every endpoint, the midpoints between them and a point beyond each end."""
+    ends = sorted(set(ends))
+    ends = [ends[0] - 1] + ends + [ends[-1] + 1]
+    return ends + [(a + b) * Fraction(1, 2) for a, b in zip(ends, ends[1:])]
+
+
+def samples(polys) -> list:
+    """Points around polytopes of one family, including every vertex and
+    one point of every nonempty intersection: line samples of the bounds
+    on the line and on each box axis; on the grid the representative of
+    every cell of a coordinate box around them with margin 1."""
+    p = polys[0]
+    if isinstance(p, geo.Interval):
+        return line_samples(e for q in polys for e in (q.lo, q.hi))
+    if isinstance(p, geo.GridSet):
+        cells = bounding_grid_cells(min(q.u_min for q in polys) - 1,
+                                    max(q.u_max for q in polys) + 1,
+                                    min(q.v_min for q in polys) - 1,
+                                    max(q.v_max for q in polys) + 1)
+        return [geo.cell_representative(c) for c in cells]
+    if isinstance(p, geo.Box):
+        return list(itertools.product(*(line_samples(ends) for ends in zip(
+            *(q.los for q in polys), *(q.his for q in polys)))))
+    per_part = [samples([q.parts[i] for q in polys]) for i in range(len(p.parts))]
+    return list(itertools.product(*per_part))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_euler_poincare_on_every_family(rng, family):
+    for _ in range(8):
+        p = draw(rng, family)
+        fs = geo.faces(p)
+        assert sum((-1) ** geo.dim(f) for f in fs) == 1
+        assert len(set(fs)) == len(fs)
+        if isinstance(p, geo.Box):
+            assert len(fs) == 3 ** geo.dim(p)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_representatives_lie_in_exactly_their_cell(rng, family):
+    for _ in range(4):
+        p = draw(rng, family)
+        cells = geo.decompose_cells(p)
+        for c in cells:
+            r = geo.cell_representative(c)
+            assert [d for d in cells if geo.cell_contains(d, r)] == [c]
+            assert member(geo.cell_closure(c), r) and member(p, r)
+
+
+def test_grid_cells_of_different_kinds_differ():
+    kinds = [geo.GridVertex, geo.GridEdgeU, geo.GridEdgeV, geo.GridEdgeS,
+             geo.GridTriUp, geo.GridTriDown]
+    cells = [kind(0, 0) for kind in kinds]
+    assert len(set(cells)) == 6
+    assert cells[0] == geo.GridVertex(0, 0) and cells[0] != cells[1]
+    assert repr(cells[5]) == "GridTriDown(u=0, v=0)"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_membership_intersection_containment_match_oracles(rng, family):
+    for trial in range(6):
+        a = draw(rng, family)
+        # every other pair nests: b is a face of a, so a contains b
+        b = rng.choice(geo.faces(a)) if trial % 2 else draw(rng, family)
+        try:
+            both = geo.intersect(a, b)
+        except geo.EmptyRegionError:
+            both = None
+        points = samples([a, b])
+        in_a = [member(a, x) for x in points]
+        in_b = [member(b, x) for x in points]
+        for x, xa, xb in zip(points, in_a, in_b):
+            assert geo.contains_point(a, x) == xa
+            assert (both is not None and geo.contains_point(both, x)) == (xa and xb)
+        for outer, inner, in_outer, in_inner in ((a, b, in_a, in_b), (b, a, in_b, in_a)):
+            expected = all(o for o, i in zip(in_outer, in_inner) if i)
+            assert geo.contains_polytope(outer, inner) == expected
