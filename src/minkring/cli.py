@@ -141,7 +141,11 @@ class _Parser:
     def factor(self) -> LaurentPoly:
         kind, val, pos = self.next()
         if kind == "num":
-            return LaurentPoly.const(Fraction(val))
+            try:
+                coeff = Fraction(val)
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", pos) from None
+            return LaurentPoly.const(coeff)
         if kind == "name":
             if self.names is not None and val not in self.names:
                 raise ParseError(f"unknown name {val!r}", pos)
@@ -203,7 +207,11 @@ def parse_scalar(text: str) -> Scalar:
         if not m:
             raise ValueError(f"cannot parse scalar term {t!r} in {text!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"zero denominator in scalar term {t!r} of {text!r}") from None
         if m.group("rad1") or m.group("rad2"):
             total = total + Scalar.sqrt2(sign * coef)
         else:

@@ -17,14 +17,13 @@ to every result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import geometry as geo
 from . import simplefn as sf
 from .geometry import Polytope
 from .laurent import LaurentPoly
-from .presentations import Presentation, box_ring, coxeter_ring, interval_ring
+from .presentations import box_ring, coxeter_ring, interval_ring
 from .rewriting import first_normal_form
 
 
@@ -93,7 +92,9 @@ def id_holds(c: CoverSpec) -> bool:
     p = c.polytope
     fn = sf.unit(geo.ambient_of(p))
     for face in c.faces:
-        fn = sf.multiply_by_indicator(fn, p) - sf.multiply_by_indicator(fn, face)
+        diff = {p: 1}
+        diff[face] = diff.get(face, 0) - 1
+        fn = sf.from_closed(fn.ambient, sf.closed_product(sf._closed_basis(fn), diff))
         if sf.is_zero(fn):
             return True
     return sf.is_zero(fn)
@@ -212,26 +213,12 @@ def minimal_antichains(p: Polytope) -> list:
                 spec = CoverSpec(p, combo)
                 if covers_vertices(spec):
                     pool.append(spec)
-    n = len(pool)
+    # An element has a predecessor in the generated order exactly when it has
+    # a direct one, because the last step of any chain is direct.
     sets = [set(s.faces) for s in pool]
-    below = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if sets[i] < sets[j] or covers_relation(pool[i], pool[j]):
-                below[i][j] = True
-    # reflexive-transitive closure
-    for k in range(n):
-        for i in range(n):
-            if below[i][k]:
-                row_k = below[k]
-                row_i = below[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    minimal = [pool[j] for j in range(n)
-               if not any(below[i][j] for i in range(n) if i != j)]
+    minimal = [b for j, b in enumerate(pool)
+               if not any(i != j and (sets[i] < sets[j] or covers_relation(a, b))
+                          for i, a in enumerate(pool))]
     minimal.sort(key=lambda s: (len(s.faces),
                                 tuple(geo.polytope_sort_key(f) for f in s.faces)))
     return minimal

@@ -13,9 +13,10 @@ algebra) that inverse is a signed sum of closed faces,
 
 so a point generator's inverse is a translation, a segment's has three
 terms and the unit triangle's seven.  A monomial's image is therefore built
-at the polytope level: its positive exponents fold into one Minkowski sum,
-which is crossed with the signed face lists of its inverses, and each
-resulting polytope is decomposed into cells once.
+in the closed basis: each positive power k of P is the element {kP: 1}, each
+inverse power the signed faces of -kP above, and the factors are multiplied
+with the ring's one closed-basis product before each resulting polytope is
+decomposed into cells once.
 
 Kernel membership is decided semantically: map the polynomial through the
 surjection and test the canonical simple function for zero.  Declared
@@ -79,8 +80,7 @@ class Presentation:
 
     def __init__(self, ring_id: str, mode: str,
                  generators: Sequence[Generator],
-                 declared: Sequence[LaurentPoly] = (),
-                 check: bool = True):
+                 declared: Sequence[LaurentPoly] = ()):
         if mode not in ("polynomial", "laurent"):
             raise ValueError(f"unknown mode {mode!r}")
         names = [g.name for g in generators]
@@ -95,12 +95,9 @@ class Presentation:
         self.ambient = ambients.pop()
         self.declared = tuple(declared)
         self._mono_cache: dict = {}
-        if check:
-            for g in self.declared:
-                if not self.kernel_member(g):
-                    raise ValueError(
-                        f"declared kernel generator {g} is not in the kernel"
-                    )
+        for g in self.declared:
+            if not self.kernel_member(g):
+                raise ValueError(f"declared kernel generator {g} is not in the kernel")
 
     def names(self) -> Tuple[str, ...]:
         return tuple(self.generators)
@@ -123,34 +120,25 @@ class Presentation:
         cached = self._mono_cache.get(m)
         if cached is not None:
             return cached
-        positive, inverses, parity = geo.origin_of(self.ambient), [], 1
+        factors = []
         for name, exp in m:
             gen = self.generators.get(name)
             if gen is None:
                 raise KeyError(f"unknown generator {name!r} in ring {self.ring_id}")
             if exp > 0:
-                positive = geo.minkowski_sum(positive, geo.scale(gen.polytope, exp))
+                factors.append({geo.scale(gen.polytope, exp): 1})
             elif exp < 0:
                 if self.mode != "laurent" or not gen.invertible:
                     raise NonInvertibleError(
                         f"negative exponent on non-invertible generator {name!r}"
                     )
                 inverse = geo.negate(geo.scale(gen.polytope, -exp))
-                parity *= (-1) ** geo.dim(inverse)
-                inverses.append(geo.relint_faces(inverse))
-        signed = {positive: parity}
-        for faces in inverses:
-            crossed: dict = {}
-            for p, sign in signed.items():
-                for face, face_sign in faces:
-                    q = geo.minkowski_sum(p, face)
-                    crossed[q] = crossed.get(q, 0) + sign * face_sign
-            signed = {q: sign for q, sign in crossed.items() if sign}
-        acc: dict = {}
-        for p, sign in signed.items():
-            for cell in geo.decompose_cells(p):
-                acc[cell] = acc.get(cell, 0) + sign
-        fn = sf.SimpleFunction(self.ambient, acc)
+                factors.append({f: (-1) ** geo.dim(f) for f in geo.faces(inverse)})
+        basis = {geo.origin_of(self.ambient): 1}
+        # Small factors first keep the intermediate sums few.
+        for factor in sorted(factors, key=len):
+            basis = sf.closed_product(basis, factor)
+        fn = sf.from_closed(self.ambient, basis)
         self._mono_cache[m] = fn
         return fn
 

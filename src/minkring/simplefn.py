@@ -5,19 +5,21 @@ functions of canonical cells of one ambient space.  The open cells are the
 storage basis, so two functions are equal on the ambient space exactly when
 their term maps coincide; the zero test is a lookup.
 
-Closed indicators live one conversion away: the relative interior of a
-polytope satisfies the inclusion-exclusion identity over its face lattice,
+Closed indicators live one conversion away.  A closed-basis element maps
+closed convex polytopes to rational weights; inclusion-exclusion over the
+face lattice,
 
     [interior P] = sum over faces F of (-1)^(dim P - dim F) [F],
 
-and the same identity rewrites any open cell in the closed basis.  The ring
-product multiplies closed convex indicators by Minkowski sum of the
-underlying sets and is extended bilinearly, so multiplication routes every
-factor through the closed basis and re-decomposes the resulting polytopes.
+rewrites any open cell in that basis.  The ring's one product, [P]*[Q] =
+[P+Q] extended bilinearly, is :func:`closed_product`, and :func:`from_closed`
+decomposes each polytope of a closed-basis element into cells once; every
+multiplication goes through the two.
 
 On the 1-D ambient with free endpoints the cell structure is not a fixed
-partition, so functions are re-canonicalized after every operation: maximal
-open intervals of constant nonzero value, plus point corrections.
+partition, so functions are re-canonicalized after every operation by one
+sweep over the breakpoints: maximal open intervals of constant nonzero
+value, plus point corrections.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Mapping, Sequence
 from . import geometry as geo
 from .geometry import (Ambient, Cell, Line, OpenInterval1D, Point1D, Polytope,
                        cell_closure, cell_contains, cell_dim, cell_sort_key)
-from .scalars import Scalar
 
 
 class AmbientMismatchError(ValueError):
@@ -36,53 +37,30 @@ class AmbientMismatchError(ValueError):
 
 
 def _canonical_line_terms(terms: Mapping[Cell, Fraction]) -> dict:
-    """Canonical form on the line: maximal constant open runs + residual points."""
-    pts = sorted({c.at for c in terms if isinstance(c, Point1D)}
-                 | {e for c in terms if isinstance(c, OpenInterval1D)
-                    for e in (c.lo, c.hi)})
-    if not pts:
-        return {}
-    intervals = [(c, q) for c, q in terms.items() if isinstance(c, OpenInterval1D)]
-
-    def value_at_point(t: Scalar) -> Fraction:
-        val = Fraction(0)
-        for c, q in terms.items():
-            if isinstance(c, Point1D) and c.at == t:
-                val += q
-            elif isinstance(c, OpenInterval1D) and (t - c.lo).sign() > 0 \
-                    and (c.hi - t).sign() > 0:
-                val += q
-        return val
-
-    def value_on_gap(i: int) -> Fraction:
-        lo, hi = pts[i], pts[i + 1]
-        val = Fraction(0)
-        for c, q in intervals:
-            if (lo - c.lo).sign() >= 0 and (c.hi - hi).sign() >= 0:
-                val += q
-        return val
-
-    point_vals = [value_at_point(t) for t in pts]
-    gap_vals = [value_on_gap(i) for i in range(len(pts) - 1)]
-
+    """Canonical form on the line: maximal constant open runs + residual points.
+    A run continues through a breakpoint t while the values left of t, at t
+    and right of t are equal and nonzero."""
+    at: dict = {}
+    opens: dict = {}
+    closes: dict = {}
+    for c, q in terms.items():
+        if isinstance(c, Point1D):
+            at[c.at] = at.get(c.at, 0) + q
+        else:
+            opens[c.lo] = opens.get(c.lo, 0) + q
+            closes[c.hi] = closes.get(c.hi, 0) + q
     out: dict = {}
-    covered = [Fraction(0)] * len(pts)  # run value at interior breakpoints
-    i = 0
-    while i < len(gap_vals):
-        g = gap_vals[i]
-        if g == 0:
-            i += 1
+    left, start = 0, None
+    for t in sorted(at.keys() | opens.keys() | closes.keys()):
+        through = left - closes.get(t, 0)
+        value, right = through + at.get(t, 0), through + opens.get(t, 0)
+        if left and left == value == right:
             continue
-        j = i
-        while j + 1 < len(gap_vals) and gap_vals[j + 1] == g and point_vals[j + 1] == g:
-            covered[j + 1] = g
-            j += 1
-        out[OpenInterval1D(pts[i], pts[j + 1])] = g
-        i = j + 1
-    for t, val, run in zip(pts, point_vals, covered):
-        residual = val - run
-        if residual:
-            out[Point1D(t)] = residual
+        if left:
+            out[OpenInterval1D(start, t)] = left
+        if value:
+            out[Point1D(t)] = value
+        left, start = right, t
     return out
 
 
@@ -156,16 +134,10 @@ def unit(ambient: Ambient) -> SimpleFunction:
 
 def indicator(p: Polytope, mode: str = "closed") -> SimpleFunction:
     """Indicator of a polytope, either closed or of its relative interior."""
-    ambient = geo.ambient_of(p)
-    if mode == "closed":
-        return SimpleFunction(ambient, {c: Fraction(1) for c in geo.decompose_cells(p)})
-    if mode != "interior":
+    if mode not in ("closed", "interior"):
         raise ValueError(f"unknown indicator mode {mode!r}")
-    acc: dict = {}
-    for face, sign in geo.relint_faces(p):
-        for c in geo.decompose_cells(face):
-            acc[c] = acc.get(c, 0) + sign
-    return SimpleFunction(ambient, acc)
+    basis = {p: 1} if mode == "closed" else dict(geo.relint_faces(p))
+    return from_closed(geo.ambient_of(p), basis)
 
 
 def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
@@ -197,29 +169,39 @@ def _closed_basis(f: SimpleFunction) -> dict:
     return {p: q for p, q in acc.items() if q}
 
 
+def closed_product(a: Mapping, b: Mapping) -> dict:
+    """The ring product in the closed basis, sum a_P b_Q [P+Q], with like
+    polytopes collected and zero weights dropped."""
+    acc: dict = {}
+    for p, qa in a.items():
+        for q, qb in b.items():
+            pq = geo.minkowski_sum(p, q)
+            acc[pq] = acc.get(pq, 0) + qa * qb
+    return {pq: w for pq, w in acc.items() if w}
+
+
+def from_closed(ambient: Ambient, basis: Mapping) -> SimpleFunction:
+    """The simple function of a closed-basis element: each polytope is
+    decomposed into cells once."""
+    acc: dict = {}
+    for p, q in basis.items():
+        for cell in geo.decompose_cells(p):
+            acc[cell] = acc.get(cell, 0) + q
+    return SimpleFunction(ambient, acc)
+
+
 def multiply_by_indicator(f: SimpleFunction, p: Polytope) -> SimpleFunction:
     """Ring product f * [p] for a single closed convex polytope p."""
     if geo.ambient_of(p) != f.ambient:
         raise AmbientMismatchError(f"{geo.ambient_of(p)} vs {f.ambient}")
-    acc: dict = {}
-    for poly, coeff in _closed_basis(f).items():
-        for cell in geo.decompose_cells(geo.minkowski_sum(poly, p)):
-            acc[cell] = acc.get(cell, Fraction(0)) + coeff
-    return SimpleFunction(f.ambient, acc)
+    return from_closed(f.ambient, closed_product(_closed_basis(f), {p: 1}))
 
 
 def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
     """The Minkowski-ring product, extended bilinearly from [P]*[Q] = [P+Q]."""
     if f.ambient != g.ambient:
         raise AmbientMismatchError(f"{f.ambient} vs {g.ambient}")
-    cf, cg = _closed_basis(f), _closed_basis(g)
-    acc: dict = {}
-    for pf, qf in cf.items():
-        for pg, qg in cg.items():
-            coeff = qf * qg
-            for cell in geo.decompose_cells(geo.minkowski_sum(pf, pg)):
-                acc[cell] = acc.get(cell, Fraction(0)) + coeff
-    return SimpleFunction(f.ambient, acc)
+    return from_closed(f.ambient, closed_product(_closed_basis(f), _closed_basis(g)))
 
 
 def evaluate_at(f: SimpleFunction, x) -> Fraction:

@@ -215,3 +215,17 @@ def test_member_product_ring_selector():
     code, text = run(["member", "--ring", "product:d1,d1", "(y_r-1)*(y_r-x_r)"])
     assert code == 0
     assert "result: true" in text
+
+
+def test_zero_denominator_is_a_one_line_error(capsys):
+    with pytest.raises(ParseError) as err:
+        parse_poly("z + 3/00")
+    assert err.value.pos == 4
+    with pytest.raises(ValueError, match=r"zero denominator in scalar term '\+1/0'"):
+        parse_scalar("sqrt2 + 1/0")
+    for argv in (["member", "--ring", "coxeter", "1/0"],
+                 ["member", "--ring", "interval:1/0,2", "x"]):
+        code, report = run(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and report == ""
+        assert len(err) == 1 and "zero denominator" in err[0]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ import minkring.geometry as geo
 import minkring.identities as ids
 from minkring.cli import parse_poly
 from minkring.laurent import LaurentPoly
+from minkring.scalars import Scalar
 
 TRI = geo.unit_triangle()
 O = geo.grid_point_set(0, 0)
@@ -130,3 +132,25 @@ def test_minimal_antichains_interval():
 def test_minimal_antichains_bound():
     with pytest.raises(ValueError):
         ids.minimal_antichains(geo.box((0, 0, 0), (1, 1, 1)))
+
+
+def _all_covers(p):
+    pool = geo.faces(p)
+    for r in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, r):
+            yield ids.cover(p, combo)
+
+
+def test_id_holds_matches_vertex_law_and_kernel_oracle():
+    square = geo.box((0, 0), (1, 1))
+    sample = random.Random(4).sample(list(_all_covers(square)), 40)
+    specs = [*_all_covers(TRI), *sample,
+             *_all_covers(geo.interval(1, 3)),
+             *_all_covers(geo.interval(-1, Scalar.sqrt2())),
+             *_all_covers(geo.line_point(2))]
+    for spec in specs:
+        holds = ids.id_holds(spec)
+        assert holds == ids.covers_vertices(spec)
+        pres, poly, _ = ids.id_context(spec)
+        if pres is not None:
+            assert pres.kernel_member(poly) == holds

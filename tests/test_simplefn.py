@@ -202,3 +202,59 @@ def test_zero_iff_vanishes_at_refinement_points(rng):
             samples.append((a + b) / 2)
         vanishes = all(sf.evaluate_at(f, t) == 0 for t in samples)
         assert sf.is_zero(f) == vanishes
+
+
+def _line_value(terms, t):
+    """Value at t of a raw 1-D term map, summed term by term."""
+    total = Fraction(0)
+    for c, q in terms.items():
+        if isinstance(c, geo.Point1D):
+            total += q if c.at == t else 0
+        elif (t - c.lo).sign() > 0 and (c.hi - t).sign() > 0:
+            total += q
+    return total
+
+
+def test_line_canonical_form_of_raw_cells(rng):
+    ambient = geo.Line("sqrt2")
+    for _ in range(200):
+        pool = sorted({Scalar(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-1, 1)))
+                       for _ in range(rng.randint(2, 6))})
+        raw = {}
+        for _ in range(rng.randint(1, 8)):
+            q = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3]))
+            if len(pool) < 2 or rng.random() < 0.4:
+                cell = geo.Point1D(rng.choice(pool))
+            else:
+                lo, hi = sorted(rng.sample(pool, 2))
+                cell = geo.OpenInterval1D(lo, hi)
+            raw[cell] = raw.get(cell, 0) + q
+        f = sf.SimpleFunction(ambient, raw)
+        samples = pool + [(a + b) / 2 for a, b in zip(pool, pool[1:])]
+        samples += [pool[0] - 1, pool[-1] + 1]
+        for t in samples:
+            assert _line_value(f.terms, t) == _line_value(raw, t)
+        # Splitting every open interval at the breakpoints inside it
+        # describes the same function, so it has the same canonical form.
+        refined = {}
+        for cell, q in raw.items():
+            if isinstance(cell, geo.Point1D):
+                pieces = [cell]
+            else:
+                cuts = [cell.lo] + [t for t in pool
+                                    if (t - cell.lo).sign() > 0
+                                    and (cell.hi - t).sign() > 0] + [cell.hi]
+                pieces = [geo.OpenInterval1D(a, b) for a, b in zip(cuts, cuts[1:])]
+                pieces += [geo.Point1D(t) for t in cuts[1:-1]]
+            for piece in pieces:
+                refined[piece] = refined.get(piece, 0) + q
+        assert sf.SimpleFunction(ambient, refined).terms == f.terms
+        # Runs are maximal: two runs of one value never meet at a point of
+        # that value, and no point correction sits inside a run.
+        runs = {c.lo: (c.hi, q) for c, q in f.terms.items()
+                if isinstance(c, geo.OpenInterval1D)}
+        for lo, (hi, q) in runs.items():
+            if hi in runs and runs[hi][1] == q:
+                assert f.terms.get(geo.Point1D(hi), 0) != q
+            assert not any(isinstance(c, geo.Point1D) and (c.at - lo).sign() > 0
+                           and (hi - c.at).sign() > 0 for c in f.terms)
