@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Verbs: member, normalize, tile, identity, minimal-covers, euler, product,
-classify.  Structured reports are line-delimited ``key: value`` documents
-with stable field names so they diff cleanly; ``--format text`` gives a
-one-line human answer instead.  Exit status is 0 when the query ran
-(regardless of the boolean answer) and nonzero on errors.
+classify.  There is one report path: each ``cmd_*`` verb takes the parsed
+arguments and returns its report, as ordered ``(key, value)`` pairs, and
+the lines of its ``--format text`` answer.  ``main`` alone does the I/O: it
+parses the arguments, reads a ``-`` payload from stdin, calls the verb and
+prints either the report as line-delimited ``key: value`` lines (stable
+field names, so they diff cleanly) or the text lines.  Exit status is 0
+when the query ran (regardless of the boolean answer) and 1 on every
+error, malformed arguments included, with one ``error:`` line on stderr.
 
 Polynomial grammar: sum of terms joined by + and -; a term is an optional
 rational coefficient and '*'-separated factors; a factor is a generator
@@ -58,12 +62,8 @@ def _tokenize(text: str):
             if text[pos:].strip():
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             break
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("op"):
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -192,17 +192,8 @@ def parse_scalar(text: str) -> Scalar:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
-    # split into signed terms
-    terms, buf = [], ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0:
-            terms.append(buf)
-            buf = ch
-        else:
-            buf += ch
-    terms.append(buf)
     total = Scalar.of(0)
-    for t in terms:
+    for t in re.split(r"(?!^)(?=[+-])", s):  # signed terms
         m = _SCALAR_TERM.match(t)
         if not m:
             raise ValueError(f"cannot parse scalar term {t!r} in {text!r}")
@@ -229,30 +220,35 @@ _PRODUCT_PARTS = {
 }
 
 
+def _endpoints(sel: str, body: str) -> tuple:
+    """The two scalars ``a,b`` of an interval selector ``sel``."""
+    ends = body.split(",")
+    if len(ends) != 2:
+        raise ValueError(f"interval selector needs two endpoints: {sel!r}")
+    return parse_scalar(ends[0]), parse_scalar(ends[1])
+
+
 def ring_from_selector(sel: str) -> Presentation:
     if sel == "coxeter":
         return coxeter_ring()
     if sel.startswith("interval:"):
-        rest = sel[len("interval:"):].split(":")
-        try:
-            a_text, b_text = rest[0].split(",")
-        except ValueError:
-            raise ValueError(f"interval selector needs two endpoints: {sel!r}")
+        body, *options = sel[len("interval:"):].split(":")
+        a, b = _endpoints(sel, body)
         mode, naming = "polynomial", "auto"
-        for extra in rest[1:]:
+        for extra in options:
             if extra in ("polynomial", "laurent"):
                 mode = extra
             elif extra == "xyz":
                 naming = "xyz"
             else:
                 raise ValueError(f"unknown interval option {extra!r}")
-        return interval_ring(parse_scalar(a_text), parse_scalar(b_text),
-                             mode=mode, naming=naming)
+        return interval_ring(a, b, mode=mode, naming=naming)
     if sel.startswith("box:"):
-        rest = sel[len("box:"):].split(":")
-        d = int(rest[0])
-        signed = "signed" in rest[1:]
-        return box_ring(d, signed=signed)
+        d, *options = sel[len("box:"):].split(":")
+        for extra in options:
+            if extra != "signed":
+                raise ValueError(f"unknown box option {extra!r}")
+        return box_ring(int(d), signed="signed" in options)
     if sel.startswith("product:"):
         return product_from_selector(sel).combined
     raise ValueError(f"unknown ring selector {sel!r}")
@@ -272,39 +268,38 @@ def product_from_selector(sel: str) -> prod.ProductPresentation:
                                      _PRODUCT_PARTS[right]())
 
 
-_TRIANGLE_FACES = {
-    "vertex:O": geo.grid_point_set(0, 0),
-    "vertex:A": geo.grid_point_set(1, 0),
-    "vertex:B": geo.grid_point_set(0, 1),
-    "edge:OA": geo.grid_set(0, 1, 0, 0, 0, 1),
-    "edge:OB": geo.grid_set(0, 0, 0, 1, 0, 1),
-    "edge:AB": geo.grid_set(0, 1, 0, 1, 1, 1),
-}
-
-_SQUARE_FACES = {
-    "vertex:00": geo.box_point((0, 0)),
-    "vertex:10": geo.box_point((1, 0)),
-    "vertex:01": geo.box_point((0, 1)),
-    "vertex:11": geo.box_point((1, 1)),
-    "edge:bottom": geo.box((0, 0), (1, 0)),
-    "edge:top": geo.box((0, 1), (1, 1)),
-    "edge:left": geo.box((0, 0), (0, 1)),
-    "edge:right": geo.box((1, 0), (1, 1)),
+# catalog polytope -> its face label table, the polytope itself as "self"
+_CATALOG = {
+    "triangle": {
+        "vertex:O": geo.grid_point_set(0, 0),
+        "vertex:A": geo.grid_point_set(1, 0),
+        "vertex:B": geo.grid_point_set(0, 1),
+        "edge:OA": geo.grid_set(0, 1, 0, 0, 0, 1),
+        "edge:OB": geo.grid_set(0, 0, 0, 1, 0, 1),
+        "edge:AB": geo.grid_set(0, 1, 0, 1, 1, 1),
+        "self": geo.unit_triangle(),
+    },
+    "square": {
+        "vertex:00": geo.box_point((0, 0)),
+        "vertex:10": geo.box_point((1, 0)),
+        "vertex:01": geo.box_point((0, 1)),
+        "vertex:11": geo.box_point((1, 1)),
+        "edge:bottom": geo.box((0, 0), (1, 0)),
+        "edge:top": geo.box((0, 1), (1, 1)),
+        "edge:left": geo.box((0, 0), (0, 1)),
+        "edge:right": geo.box((1, 0), (1, 1)),
+        "self": geo.box((0, 0), (1, 1)),
+    },
 }
 
 
 def catalog_polytope(name: str):
     """(polytope, face label table) for the identity verbs."""
-    if name == "triangle":
-        table = dict(_TRIANGLE_FACES)
-        table["self"] = geo.unit_triangle()
-        return geo.unit_triangle(), table
-    if name == "square":
-        table = dict(_SQUARE_FACES)
-        table["self"] = geo.box((0, 0), (1, 1))
+    if name in _CATALOG:
+        table = dict(_CATALOG[name])
         return table["self"], table
     if name.startswith("interval:"):
-        a, b = (parse_scalar(t) for t in name[len("interval:"):].split(","))
+        a, b = _endpoints(name, name[len("interval:"):])
         seg = geo.interval(a, b)
         table = {"vertex:lo": geo.line_point(a, seg.mode),
                  "vertex:hi": geo.line_point(b, seg.mode),
@@ -346,49 +341,33 @@ def format_point(ambient, x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each returns its report, as (key, value) pairs in print order, and
+# the lines of its ``--format text`` answer
 
 
-def _payload(args) -> str:
-    if args.payload == "-":
-        return sys.stdin.read().strip()
-    return args.payload
-
-
-def cmd_member(args, out) -> int:
+def cmd_member(args):
     ring = ring_from_selector(args.ring)
-    text = _payload(args)
-    poly = parse_poly(text, ring.names())
+    poly = parse_poly(args.payload, ring.names())
     witness = ring.kernel_witness(poly)
-    lines = [("verb", "member"), ("ring", ring.ring_id), ("input", text),
-             ("canonical", poly.to_text()),
-             ("result", "true" if witness is None else "false")]
+    canonical = poly.to_text()
+    report = [("verb", "member"), ("ring", ring.ring_id), ("input", args.payload),
+              ("canonical", canonical), ("result", witness is None)]
+    verdict = "in the kernel"
     if witness is not None:
-        point, value = witness
-        lines.append(("witness", format_point(ring.ambient, point)))
-        lines.append(("value", str(value)))
-    if args.format == "text":
-        verdict = "in the kernel" if witness is None else \
-            f"not in the kernel (image is {witness[1]} at " \
-            f"{format_point(ring.ambient, witness[0])})"
-        print(f"{poly.to_text()} is {verdict} of {ring.ring_id}", file=out)
-    else:
-        _emit(lines, out)
-    return 0
+        point = format_point(ring.ambient, witness[0])
+        report += [("witness", point), ("value", witness[1])]
+        verdict = f"not in the kernel (image is {witness[1]} at {point})"
+    return report, [f"{canonical} is {verdict} of {ring.ring_id}"]
 
 
-def cmd_euler(args, out) -> int:
+def cmd_euler(args):
     ring = ring_from_selector(args.ring)
-    text = _payload(args)
-    poly = parse_poly(text, ring.names())
+    poly = parse_poly(args.payload, ring.names())
     value = sf.euler_char(ring.phi(poly))
-    if args.format == "text":
-        print(f"euler characteristic of {poly.to_text()} in {ring.ring_id}: "
-              f"{value}", file=out)
-    else:
-        _emit([("verb", "euler"), ("ring", ring.ring_id), ("input", text),
-               ("canonical", poly.to_text()), ("euler", str(value))], out)
-    return 0
+    canonical = poly.to_text()
+    return ([("verb", "euler"), ("ring", ring.ring_id), ("input", args.payload),
+             ("canonical", canonical), ("euler", value)],
+            [f"euler characteristic of {canonical} in {ring.ring_id}: {value}"])
 
 
 _GRIDSET_SPEC = re.compile(
@@ -404,7 +383,7 @@ def parse_gridset(text: str) -> geo.GridSet:
     return geo.grid_set(u0, u1, v0, v1, s0, s1)
 
 
-def cmd_normalize(args, out) -> int:
+def cmd_normalize(args):
     s = parse_gridset(args.gridset)
     ring = coxeter_ring()
     params, first = rw.first_normal_form(s)
@@ -412,24 +391,19 @@ def cmd_normalize(args, out) -> int:
     second = rw.second_normal_form(s)
     target = sf.indicator(s)
     verified = ring.phi(first) == target and ring.phi(second) == target
-    if args.format == "text":
-        print(f"first normal form: {first.to_text()}", file=out)
-        print(f"second normal form: {second.to_text()}", file=out)
-        return 0
-    _emit([
+    first, second = first.to_text(), second.to_text()
+    return ([
         ("verb", "normalize"), ("ring", ring.ring_id), ("input", args.gridset),
         ("anchor", f"({params.a}, {params.b})"),
         ("params", f"N={params.N} n1={params.n1} n2={params.n2} n3={params.n3}"
                    f" m1={params.m1} m2={params.m2} m3={params.m3}"),
-        ("first", first.to_text()),
+        ("first", first),
         ("second-open", " + ".join(rw.piece_text(p) for p in pieces)),
-        ("second", second.to_text()),
-        ("verified", "true" if verified else "false"),
-    ], out)
-    return 0
+        ("second", second), ("verified", verified),
+    ], [f"first normal form: {first}", f"second normal form: {second}"])
 
 
-def cmd_tile(args, out) -> int:
+def cmd_tile(args):
     n = args.n
     if args.axis == "z":
         ring = coxeter_ring()
@@ -439,191 +413,150 @@ def cmd_tile(args, out) -> int:
         ring = rw.edge_tiling_ring(args.axis)
         tiling = rw.edge_tiling(args.axis, n)
         ok = rw.verify_edge_tiling(args.axis, n)
-    if args.format == "text":
-        print(f"{args.axis}^{n} = {tiling.to_text()} ({'verified' if ok else 'FAILED'})",
-              file=out)
-    else:
-        _emit([("verb", "tile"), ("ring", ring.ring_id), ("axis", args.axis),
-               ("n", str(n)), ("tiling", tiling.to_text()),
-               ("verified", "true" if ok else "false")], out)
-    return 0
+    tiling = tiling.to_text()
+    return ([("verb", "tile"), ("ring", ring.ring_id), ("axis", args.axis),
+             ("n", n), ("tiling", tiling), ("verified", ok)],
+            [f"{args.axis}^{n} = {tiling} ({'verified' if ok else 'FAILED'})"])
 
 
-def cmd_identity(args, out) -> int:
+def cmd_identity(args):
     polytope, table = catalog_polytope(args.polytope)
     faces = parse_cover(args.cover, table)
     spec = ids.cover(polytope, faces)
     holds = ids.id_holds(spec)
     covers = ids.covers_vertices(spec)
     pres, product_poly, offset = ids.id_context(spec)
-    embedding = f"anchored by offset {offset}"
-    if args.format == "text":
-        print(f"identity {'holds' if holds else 'fails'}; cover "
-              f"{'covers' if covers else 'misses'} the vertices", file=out)
-        return 0
-    _emit([
+    return ([
         ("verb", "identity"),
         ("ring", pres.ring_id if pres is not None else "trivial"),
         ("polytope", args.polytope), ("cover", args.cover),
-        ("embedding", embedding),
+        ("embedding", f"anchored by offset {offset}"),
         ("product", product_poly.to_text()),
-        ("covers", "true" if covers else "false"),
-        ("holds", "true" if holds else "false"),
-    ], out)
-    return 0
+        ("covers", covers), ("holds", holds),
+    ], [f"identity {'holds' if holds else 'fails'}; cover "
+        f"{'covers' if covers else 'misses'} the vertices"])
 
 
-def cmd_minimal_covers(args, out) -> int:
+def cmd_minimal_covers(args):
     polytope, table = catalog_polytope(args.polytope)
     minimal = ids.minimal_antichains(polytope)
-    lines = [("verb", "minimal-covers"), ("polytope", args.polytope),
-             ("count", str(len(minimal)))]
-    for spec in minimal:
-        labels = sorted(face_label(f, table) for f in spec.faces)
-        lines.append(("cover", ", ".join(labels)))
-    if args.format == "text":
-        for spec in minimal:
-            labels = sorted(face_label(f, table) for f in spec.faces)
-            print("{" + ", ".join(labels) + "}", file=out)
-        return 0
-    _emit(lines, out)
-    return 0
+    covers = [", ".join(sorted(face_label(f, table) for f in spec.faces))
+              for spec in minimal]
+    return ([("verb", "minimal-covers"), ("polytope", args.polytope),
+             ("count", len(minimal))] + [("cover", c) for c in covers],
+            ["{" + c + "}" for c in covers])
 
 
-def cmd_product(args, out) -> int:
+def cmd_product(args):
     pp = product_from_selector(f"product:{args.left},{args.right}")
-    lines = [("verb", "product"), ("left", pp.left.ring_id),
-             ("right", pp.right.ring_id), ("ring", pp.combined.ring_id)]
-    for name in pp.left_names:
-        lines.append(("mapping", f"{name} -> {name}"))
-    for orig, renamed in pp.right_rename.items():
-        lines.append(("mapping", f"{orig} -> {renamed}"))
     declared_ok = all(pp.combined.kernel_member(g) for g in pp.combined.declared)
     tensor_ok = prod.verify_tensor_identity(pp, bound=args.bound,
                                             samples=args.samples, seed=args.seed)
-    lines.append(("declared-kernel", "true" if declared_ok else "false"))
-    lines.append(("tensor-identity", "true" if tensor_ok else "false"))
-    for doc_line in pp.combined.document().splitlines():
-        lines.append(("doc", doc_line))
-    if args.format == "text":
-        print(f"{pp.combined.ring_id}: declared kernel "
-              f"{'ok' if declared_ok else 'BROKEN'}, tensor identity "
-              f"{'ok' if tensor_ok else 'BROKEN'}", file=out)
-        return 0
-    _emit(lines, out)
-    return 0
+    renames = [(name, name) for name in pp.left_names] + list(pp.right_rename.items())
+    return ([("verb", "product"), ("left", pp.left.ring_id),
+             ("right", pp.right.ring_id), ("ring", pp.combined.ring_id),
+             *[("mapping", f"{orig} -> {renamed}") for orig, renamed in renames],
+             ("declared-kernel", declared_ok), ("tensor-identity", tensor_ok),
+             *[("doc", line) for line in pp.combined.document().splitlines()]],
+            [f"{pp.combined.ring_id}: declared kernel "
+             f"{'ok' if declared_ok else 'BROKEN'}, tensor identity "
+             f"{'ok' if tensor_ok else 'BROKEN'}"])
 
 
-def cmd_classify(args, out) -> int:
+def cmd_classify(args):
     sel = args.ring
     if not sel.startswith("principal:"):
         raise ValueError("classify needs a principal:<shape>[:mode] selector")
-    rest = sel[len("principal:"):].split(":")
-    shape_name = rest[0]
-    mode = rest[1] if len(rest) > 1 else "polynomial"
+    shape_name, *rest = sel[len("principal:"):].split(":")
+    mode = rest[0] if rest else "polynomial"
     try:
         shape = PrincipalShape(shape_name)
     except ValueError:
         raise ValueError(f"unknown shape {shape_name!r} (choose from "
                          f"{[s.value for s in PrincipalShape]})")
     ideal = classify_principal(shape, mode)
-    if args.format == "text":
-        print(f"kernel for shape {shape.value} ({mode}): ({ideal.text()})", file=out)
-        return 0
-    _emit([("verb", "classify"), ("shape", shape.value), ("mode", mode),
-           ("ideal", ideal.text()),
-           ("whole-ring", "true" if ideal.whole_ring else "false")], out)
-    return 0
-
-
-def _emit(lines, out) -> None:
-    for key, value in lines:
-        print(f"{key}: {value}", file=out)
+    return ([("verb", "classify"), ("shape", shape.value), ("mode", mode),
+             ("ideal", ideal.text()), ("whole-ring", ideal.whole_ring)],
+            [f"kernel for shape {shape.value} ({mode}): ({ideal.text()})"])
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and I/O
+
+# verb -> (help, its arguments as (name, add_argument keywords)); every verb
+# also takes --format
+_REQUIRED = {"required": True}
+_VERBS = {
+    "member": ("kernel membership of a polynomial", [
+        ("--ring", _REQUIRED),
+        ("payload", {"help": "polynomial text, or - for stdin"})]),
+    "euler": ("Euler characteristic of the image", [
+        ("--ring", _REQUIRED), ("payload", {})]),
+    "normalize": ("normal forms of a grid polygon", [
+        ("--gridset", {"required": True,
+                       "help": "bounds, e.g. 'u:0..1,v:0..1,s:0..2'"})]),
+    "tile": ("tiling of a generator power", [
+        ("--axis", {"choices": ("z", "y1", "y2", "y3", "y"), "default": "z"}),
+        ("--n", {"type": int, "required": True})]),
+    "identity": ("face-cover identity check", [
+        ("--polytope", _REQUIRED),
+        ("--cover", {"required": True,
+                     "help": "comma list of face labels, e.g. 'edge:OA,vertex:B'"})]),
+    "minimal-covers": ("minimal antichain covers", [("--polytope", _REQUIRED)]),
+    "product": ("combine two face presentations", [
+        ("--left", _REQUIRED), ("--right", _REQUIRED),
+        ("--bound", {"type": int, "default": 2}),
+        ("--samples", {"type": int, "default": 20}),
+        ("--seed", {"type": int, "default": 0})]),
+    "classify": ("kernel of a single closed convex set", [
+        ("--ring", {"required": True,
+                    "help": "principal:<shape>[:mode], shapes: empty, origin, "
+                            "self-similar, bounded"})]),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="minkring",
-                                  description="exact Minkowski-ring queries")
-    sub = top.add_subparsers(dest="verb", required=True)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error instead of printing usage and exiting with 2,
+    so ``main`` reports it like every other error."""
 
-    def add_format(p):
-        p.add_argument("--format", choices=("structured", "text"),
-                       default="structured")
-
-    p = sub.add_parser("member", help="kernel membership of a polynomial")
-    p.add_argument("--ring", required=True)
-    p.add_argument("payload", help="polynomial text, or - for stdin")
-    add_format(p)
-    p.set_defaults(fn=cmd_member)
-
-    p = sub.add_parser("euler", help="Euler characteristic of the image")
-    p.add_argument("--ring", required=True)
-    p.add_argument("payload")
-    add_format(p)
-    p.set_defaults(fn=cmd_euler)
-
-    p = sub.add_parser("normalize", help="normal forms of a grid polygon")
-    p.add_argument("--gridset", required=True,
-                   help="bounds, e.g. 'u:0..1,v:0..1,s:0..2'")
-    add_format(p)
-    p.set_defaults(fn=cmd_normalize)
-
-    p = sub.add_parser("tile", help="tiling of a generator power")
-    p.add_argument("--axis", choices=("z", "y1", "y2", "y3", "y"), default="z")
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_tile)
-
-    p = sub.add_parser("identity", help="face-cover identity check")
-    p.add_argument("--polytope", required=True)
-    p.add_argument("--cover", required=True,
-                   help="comma list of face labels, e.g. 'edge:OA,vertex:B'")
-    add_format(p)
-    p.set_defaults(fn=cmd_identity)
-
-    p = sub.add_parser("minimal-covers", help="minimal antichain covers")
-    p.add_argument("--polytope", required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_minimal_covers)
-
-    p = sub.add_parser("product", help="combine two face presentations")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser("classify", help="kernel of a single closed convex set")
-    p.add_argument("--ring", required=True,
-                   help="principal:<shape>[:mode], shapes: empty, origin, "
-                        "self-similar, bounded")
-    add_format(p)
-    p.set_defaults(fn=cmd_classify)
-
-    return top
+    def error(self, message):
+        raise ValueError(message)
 
 
 @lru_cache(maxsize=1)
-def _cached_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     """One parser for every ``main`` call: building it takes milliseconds,
     parsing tens of microseconds, and ``parse_args`` leaves it unchanged."""
-    return build_parser()
+    top = _ArgumentParser(prog="minkring", description="exact Minkowski-ring queries")
+    sub = top.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.add_argument("--format", choices=("structured", "text"), default="structured")
+    return top
 
 
 def main(argv=None, out=None) -> int:
+    """Run one verb and print its answer to ``out`` (stdout by default):
+    0 when the query ran, 1 with one ``error:`` line on stderr otherwise."""
     out = out if out is not None else sys.stdout
-    args = _cached_parser().parse_args(argv)
     try:
-        return args.fn(args, out)
+        args = _parser().parse_args(argv)
+        if getattr(args, "payload", None) == "-":
+            args.payload = sys.stdin.read().strip()
+        # Looked up at call time, so a wrapper rebound to the module
+        # attribute (as perfbench/spans.py does) is the one that runs.
+        report, text = globals()["cmd_" + args.verb.replace("-", "_")](args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format != "text":
+        text = [f"{key}: {str(value).lower() if isinstance(value, bool) else value}"
+                for key, value in report]
+    for line in text:
+        print(line, file=out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -96,6 +96,30 @@ GOLDEN_CASES = [
     ("member_x1.txt", ["member", "--ring", "coxeter", "x1"]),
     ("identity_triangle.txt",
      ["identity", "--polytope", "triangle", "--cover", "edge:OA,vertex:B"]),
+    ("member_x1_text.txt", ["member", "--ring", "coxeter", "x1", "--format", "text"]),
+    ("euler_coxeter.txt", ["euler", "--ring", "coxeter", "z + y1"]),
+    ("euler_coxeter_text.txt",
+     ["euler", "--ring", "coxeter", "z + y1", "--format", "text"]),
+    ("normalize_rhombus.txt", ["normalize", "--gridset", "u:0..1,v:0..1,s:0..2"]),
+    ("normalize_rhombus_text.txt",
+     ["normalize", "--gridset", "u:0..1,v:0..1,s:0..2", "--format", "text"]),
+    ("tile_y3.txt", ["tile", "--axis", "y", "--n", "3"]),
+    ("tile_y3_text.txt", ["tile", "--axis", "y", "--n", "3", "--format", "text"]),
+    ("identity_triangle_text.txt",
+     ["identity", "--polytope", "triangle", "--cover", "edge:OA,vertex:B",
+      "--format", "text"]),
+    ("minimal_covers_triangle.txt", ["minimal-covers", "--polytope", "triangle"]),
+    ("minimal_covers_triangle_text.txt",
+     ["minimal-covers", "--polytope", "triangle", "--format", "text"]),
+    ("product_d1_d2.txt",
+     ["product", "--left", "d1", "--right", "d2", "--samples", "5"]),
+    ("product_d1_d2_text.txt",
+     ["product", "--left", "d1", "--right", "d2", "--samples", "5",
+      "--format", "text"]),
+    ("classify_self_similar.txt",
+     ["classify", "--ring", "principal:self-similar:laurent"]),
+    ("classify_self_similar_text.txt",
+     ["classify", "--ring", "principal:self-similar:laurent", "--format", "text"]),
 ]
 
 
@@ -229,3 +253,34 @@ def test_zero_denominator_is_a_one_line_error(capsys):
         err = capsys.readouterr().err.splitlines()
         assert code == 1 and report == ""
         assert len(err) == 1 and "zero denominator" in err[0]
+
+
+def test_usage_errors_are_one_line_errors(capsys):
+    for argv, message in (
+            (["tile", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["member"], "the following arguments are required: --ring, payload"),
+            (["frobnicate"], "argument verb: invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: verb")):
+        code, report = run(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and report == ""
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"], io.StringIO())
+    assert exit_.value.code == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["member", "--ring", "box:2:foo", "x1"], "unknown box option 'foo'"),
+    (["member", "--ring", "box:1:signed:bar", "x"], "unknown box option 'bar'"),
+    (["member", "--ring", "interval:1,2,3", "x"],
+     "interval selector needs two endpoints: 'interval:1,2,3'"),
+    (["identity", "--polytope", "interval:1,2,3", "--cover", "self"],
+     "interval selector needs two endpoints: 'interval:1,2,3'"),
+    (["minimal-covers", "--polytope", "interval:1"],
+     "interval selector needs two endpoints: 'interval:1'"),
+])
+def test_malformed_selectors_are_one_line_errors(argv, message, capsys):
+    code, report = run(argv)
+    assert code == 1 and report == ""
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
