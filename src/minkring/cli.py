@@ -34,7 +34,7 @@ from . import identities as ids
 from . import products as prod
 from . import rewriting as rw
 from . import simplefn as sf
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, poly_sum
 from .presentations import (Presentation, PrincipalShape, box_ring,
                             classify_principal, coxeter_ring, interval_ring,
                             point_ring, polytope_text)
@@ -58,9 +58,11 @@ def _tokenize(text: str):
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if not m:
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}",
+                                 len(text) - len(rest))
             break
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
@@ -101,20 +103,19 @@ class _Parser:
         return poly
 
     def expr(self) -> LaurentPoly:
-        sign = 1
+        """Signed terms, summed once at the end."""
+        terms, sign = [], "+"
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.next()
-            sign = -1 if val == "-" else 1
-        out = sign * self.term()
+            sign = val
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                nxt = self.term()
-                out = out + nxt if val == "+" else out - nxt
-            else:
-                return out
+            term = self.term()
+            terms.append(-term if sign == "-" else term)
+            kind, sign, _ = self.peek()
+            if not (kind == "op" and sign in "+-"):
+                return poly_sum(terms)
+            self.next()
 
     def term(self) -> LaurentPoly:
         out = self.factor()
@@ -468,6 +469,8 @@ def cmd_classify(args):
     if not sel.startswith("principal:"):
         raise ValueError("classify needs a principal:<shape>[:mode] selector")
     shape_name, *rest = sel[len("principal:"):].split(":")
+    if len(rest) > 1:
+        raise ValueError(f"unknown principal option {rest[1]!r}")
     mode = rest[0] if rest else "polynomial"
     try:
         shape = PrincipalShape(shape_name)

@@ -399,15 +399,16 @@ def vertices(p: Polytope) -> tuple:
 
 
 def vertex_coords(p: Polytope):
-    """Coordinate point of a 0-dimensional polytope."""
+    """Coordinate point of a 0-dimensional polytope, in the coordinates of
+    :func:`translate`: the Scalar on the line, integers elsewhere."""
     if dim(p) != 0:
         raise ValueError("vertex_coords needs a 0-dimensional polytope")
     if isinstance(p, Interval):
         return p.lo
     if isinstance(p, Box):
-        return tuple(Fraction(a) for a in p.los)
+        return p.los
     if isinstance(p, GridSet):
-        return (Fraction(p.u_min), Fraction(p.v_min))
+        return (p.u_min, p.v_min)
     return tuple(vertex_coords(q) for q in p.parts)
 
 
@@ -433,6 +434,11 @@ class _GridCell:
     DIM: ClassVar[int]
     CLOSURE: ClassVar[tuple]
     POINT: ClassVar[tuple]
+
+    def __hash__(self) -> int:
+        # The generated hash would leave out the kind, so the six cells
+        # anchored at one (u, v) would share a hash.
+        return hash((self.RANK, self.u, self.v))
 
 
 class GridVertex(_GridCell):
@@ -567,6 +573,23 @@ def cell_representative(c: Cell):
         return tuple(k + _HALF if open_ else Fraction(k) for k, open_ in c.axes)
     if isinstance(c, ProductCell):
         return tuple(cell_representative(q) for q in c.parts)
+    raise TypeError(f"not a cell: {c!r}")
+
+
+def shift_cell(c: Cell, offset) -> Cell:
+    """The cell moved by offset, given in the coordinates of
+    :func:`translate` (Scalar on the line, integer tuples elsewhere, one
+    per part for products)."""
+    if isinstance(c, _GridCell):
+        return type(c)(c.u + offset[0], c.v + offset[1])
+    if isinstance(c, Point1D):
+        return Point1D(c.at + offset)
+    if isinstance(c, OpenInterval1D):
+        return OpenInterval1D(c.lo + offset, c.hi + offset)
+    if isinstance(c, BoxCell):
+        return BoxCell(tuple((k + d, open_) for (k, open_), d in zip(c.axes, offset)))
+    if isinstance(c, ProductCell):
+        return ProductCell(tuple(shift_cell(q, d) for q, d in zip(c.parts, offset)))
     raise TypeError(f"not a cell: {c!r}")
 
 

@@ -6,12 +6,20 @@ coefficients.  The zero polynomial has no terms.  Results are always
 canonical: no zero exponents, no zero coefficients, and a deterministic
 term order for printing (total degree first, then exponent vectors with the
 alphabetically last name most significant, largest first).
+
+Arithmetic builds each result in one dict: :func:`fold_terms` adds terms
+into it, deleting a monomial whose coefficient sums to zero, and wraps it
+with the trusted constructor ``LaurentPoly._trusted``, which neither copies
+the dict nor re-wraps its values.  Its invariant: every value is a nonzero
+``Fraction``, and the new polynomial alone owns the dict.  The public
+constructor validates its input.  :func:`poly_sum` folds many polynomials
+into one dict, so assembling n terms costs O(n), not O(n^2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -69,6 +77,14 @@ class LaurentPoly:
                 if c:
                     clean[m] = c
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "LaurentPoly":
+        """Wrap a dict of nonzero Fraction coefficients as it is: no copy,
+        no re-wrapping.  The caller hands the dict over."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     # -- constructors -------------------------------------------------------
 
@@ -137,11 +153,7 @@ class LaurentPoly:
         raise TypeError(f"cannot combine LaurentPoly with {type(other).__name__}")
 
     def __add__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        out = dict(self._terms)
-        for m, c in o._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return LaurentPoly(out)
+        return fold_terms(self._coerce(other)._terms.items(), dict(self._terms))
 
     __radd__ = __add__
 
@@ -152,19 +164,18 @@ class LaurentPoly:
         return self._coerce(other) - self
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self._terms.items()})
+        return LaurentPoly._trusted({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return LaurentPoly({m: c * f for m, c in self._terms.items()})
+            if not f:
+                return LaurentPoly.zero()
+            return LaurentPoly._trusted({m: c * f for m, c in self._terms.items()})
         o = self._coerce(other)
-        out: dict = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in o._terms.items():
-                m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return LaurentPoly(out)
+        return fold_terms((mono_mul(ma, mb), ca * cb)
+                          for ma, ca in self._terms.items()
+                          for mb, cb in o._terms.items())
 
     __rmul__ = __mul__
 
@@ -187,11 +198,7 @@ class LaurentPoly:
 
     def power_map(self, i: int) -> "LaurentPoly":
         """Substitute every generator g by g^i (i = 0 sends them all to 1)."""
-        out: dict = {}
-        for m, c in self._terms.items():
-            mm = mono_pow(m, i)
-            out[mm] = out.get(mm, Fraction(0)) + c
-        return LaurentPoly(out)
+        return fold_terms((mono_pow(m, i), c) for m, c in self._terms.items())
 
     def substitute(self, assignment: Mapping[str, RationalLike]) -> "LaurentPoly":
         """Partially evaluate; unassigned names stay symbolic.
@@ -256,11 +263,25 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
 
+def fold_terms(pairs: Iterable[Tuple[Monomial, Fraction]],
+               acc: Optional[dict] = None) -> LaurentPoly:
+    """The polynomial of acc (empty by default) plus the (monomial,
+    Fraction coefficient) pairs, summed in acc itself: like monomials are
+    collected and a monomial whose coefficient reaches zero is deleted.
+    acc must hold nonzero Fractions and becomes the result's."""
+    acc = {} if acc is None else acc
+    for m, c in pairs:
+        c = acc.get(m, 0) + c
+        if c:
+            acc[m] = c
+        else:
+            acc.pop(m, None)
+    return LaurentPoly._trusted(acc)
+
+
 def poly_sum(items: Iterable[LaurentPoly]) -> LaurentPoly:
-    out = LaurentPoly.zero()
-    for p in items:
-        out = out + p
-    return out
+    """Sum of the polynomials, folded into one dict."""
+    return fold_terms(pair for p in items for pair in p.terms.items())
 
 
 # -- univariate Laurent ideal membership ------------------------------------

@@ -12,11 +12,19 @@ algebra) that inverse is a signed sum of closed faces,
     (-1)^d [relint(-P)] = sum over faces F of -P of (-1)^(dim F) [F],
 
 so a point generator's inverse is a translation, a segment's has three
-terms and the unit triangle's seven.  A monomial's image is therefore built
-in the closed basis: each positive power k of P is the element {kP: 1}, each
+terms and the unit triangle's seven.
+
+A generator whose polytope is a point is a translation, so every monomial
+splits into a *shape*, its factors on the other generators, and an
+*offset*, the sum of exp * point over its point factors (a Scalar on the
+line, integer coordinates elsewhere).  The shape's image is built in the
+closed basis: each positive power k of P is the element {kP: 1}, each
 inverse power the signed faces of -kP above, and the factors are multiplied
 with the ring's one closed-basis product before each resulting polytope is
-decomposed into cells once.
+decomposed into cells once.  Images are cached per shape, so the cache
+holds at most one entry per distinct shape, and a monomial's image is its
+shape's cells moved by the offset; :meth:`Presentation.phi` folds every
+term's moved cells into one map.
 
 Kernel membership is decided semantically: map the polynomial through the
 surjection and test the canonical simple function for zero.  Declared
@@ -75,6 +83,22 @@ def polytope_text(p: Polytope) -> str:
     raise TypeError(f"not a polytope: {p!r}")
 
 
+def _offset(moves):
+    """The sum of exp * point over (exp, point) pairs, coordinate by
+    coordinate."""
+    exps, points = zip(*moves)
+    if isinstance(points[0], tuple):
+        return tuple(_offset(zip(exps, coords)) for coords in zip(*points))
+    return sum(e * c for e, c in zip(exps, points))
+
+
+def _shifted(image: sf.SimpleFunction, offset):
+    """(cell, weight) pairs of image moved by offset (None: unmoved)."""
+    if offset is None:
+        return image.terms.items()
+    return ((geo.shift_cell(c, offset), q) for c, q in image.terms.items())
+
+
 class Presentation:
     """Immutable generator table plus verified declared kernel generators."""
 
@@ -94,7 +118,10 @@ class Presentation:
         self.generators = {g.name: g for g in generators}
         self.ambient = ambients.pop()
         self.declared = tuple(declared)
-        self._mono_cache: dict = {}
+        # name -> coordinates of each point generator, a translation
+        self._points = {g.name: geo.vertex_coords(g.polytope)
+                        for g in generators if geo.dim(g.polytope) == 0}
+        self._mono_cache: dict = {}  # shape -> image
         for g in self.declared:
             if not self.kernel_member(g):
                 raise ValueError(f"declared kernel generator {g} is not in the kernel")
@@ -114,40 +141,60 @@ class Presentation:
             return self.unit()
         return self._phi_monomial(((name, exp),))
 
-    def _phi_monomial(self, m) -> sf.SimpleFunction:
-        """Image of one monomial, built as a signed sum of closed polytopes
-        and decomposed into cells once per polytope."""
-        cached = self._mono_cache.get(m)
-        if cached is not None:
-            return cached
-        factors = []
+    def _split(self, m):
+        """(shape, offset) of a monomial: its factors on generators that are
+        not points, and the sum of exp * point over the others, in the
+        coordinates of geo.translate (None when there are none).  Checks
+        every factor, in order, for an unknown name or a negative power of
+        a non-invertible generator."""
+        shape, moves = [], []
         for name, exp in m:
             gen = self.generators.get(name)
             if gen is None:
                 raise KeyError(f"unknown generator {name!r} in ring {self.ring_id}")
-            if exp > 0:
-                factors.append({geo.scale(gen.polytope, exp): 1})
-            elif exp < 0:
-                if self.mode != "laurent" or not gen.invertible:
-                    raise NonInvertibleError(
-                        f"negative exponent on non-invertible generator {name!r}"
-                    )
-                inverse = geo.negate(geo.scale(gen.polytope, -exp))
-                factors.append({f: (-1) ** geo.dim(f) for f in geo.faces(inverse)})
-        basis = {geo.origin_of(self.ambient): 1}
-        # Small factors first keep the intermediate sums few.
-        for factor in sorted(factors, key=len):
-            basis = sf.closed_product(basis, factor)
-        fn = sf.from_closed(self.ambient, basis)
-        self._mono_cache[m] = fn
-        return fn
+            if exp < 0 and (self.mode != "laurent" or not gen.invertible):
+                raise NonInvertibleError(
+                    f"negative exponent on non-invertible generator {name!r}"
+                )
+            point = self._points.get(name)
+            if point is None:
+                shape.append((name, exp))
+            else:
+                moves.append((exp, point))
+        return tuple(shape), (_offset(moves) if moves else None)
+
+    def _phi_monomial(self, m) -> sf.SimpleFunction:
+        """Image of one monomial: the image of its shape, moved by its
+        offset.  A shape's image is built once, as a signed sum of closed
+        polytopes, and each polytope is decomposed into cells once."""
+        shape, offset = self._split(m)
+        image = self._mono_cache.get(shape)
+        if image is None:
+            factors = []
+            for name, exp in shape:
+                dilated = geo.scale(self.generators[name].polytope, abs(exp))
+                if exp > 0:
+                    factors.append({dilated: 1})
+                else:
+                    factors.append({f: (-1) ** geo.dim(f)
+                                    for f in geo.faces(geo.negate(dilated))})
+            basis = {geo.origin_of(self.ambient): 1}
+            # Small factors first keep the intermediate sums few.
+            for factor in sorted(factors, key=len):
+                basis = sf.closed_product(basis, factor)
+            image = self._mono_cache[shape] = sf.from_closed(self.ambient, basis)
+        if offset is None:
+            return image
+        return sf.SimpleFunction(self.ambient, dict(_shifted(image, offset)))
 
     def phi(self, f: LaurentPoly) -> sf.SimpleFunction:
-        """Image of f under the surjection, as a canonical simple function."""
+        """Image of f under the surjection, as a canonical simple function:
+        each term's shape image, moved by its offset, folded into one map."""
         acc: dict = {}
         for m, coeff in f.terms.items():
-            for cell, q in self._phi_monomial(m).terms.items():
-                acc[cell] = acc.get(cell, Fraction(0)) + coeff * q
+            shape, offset = self._split(m)
+            for cell, q in _shifted(self._phi_monomial(shape), offset):
+                acc[cell] = acc.get(cell, 0) + coeff * q
         return sf.SimpleFunction(self.ambient, acc)
 
     def kernel_member(self, f: LaurentPoly) -> bool:

@@ -19,18 +19,15 @@ from itertools import product as iproduct
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from . import geometry as geo
-from .laurent import LaurentPoly, monomial
+from .laurent import LaurentPoly, fold_terms, monomial
 from .presentations import Generator, Presentation
 
 RIGHT_SUFFIX = "_r"
 
 
 def rename_poly(f: LaurentPoly, mapping: Mapping[str, str]) -> LaurentPoly:
-    out: dict = {}
-    for m, c in f.terms.items():
-        mm = monomial({mapping.get(n, n): e for n, e in m})
-        out[mm] = out.get(mm, Fraction(0)) + c
-    return LaurentPoly(out)
+    return fold_terms((monomial({mapping.get(n, n): e for n, e in m}), c)
+                      for m, c in f.terms.items())
 
 
 @dataclass(frozen=True)

@@ -155,10 +155,8 @@ def second_normal_form_pieces(s: GridSet) -> tuple:
 
 def second_normal_form(s: GridSet) -> LaurentPoly:
     """The open-piece tiling expanded into the six-generator alphabet."""
-    out = LaurentPoly.zero()
-    for a, b, kind in second_normal_form_pieces(s):
-        out = out + LaurentPoly.term({"x1": a, "x2": b}) * _PIECE_POLY[kind]
-    return out
+    return poly_sum(LaurentPoly.term({"x1": a, "x2": b}) * _PIECE_POLY[kind]
+                    for a, b, kind in second_normal_form_pieces(s))
 
 
 def piece_text(piece) -> str:
@@ -177,17 +175,13 @@ def piece_text(piece) -> str:
 
 def homogeneous_sum(k: int) -> LaurentPoly:
     """Sum of all monomials x1^i x2^(k-i); zero for negative k."""
-    if k < 0:
-        return LaurentPoly.zero()
-    return sum((LaurentPoly.term({"x1": i, "x2": k - i}) for i in range(k + 1)),
-               LaurentPoly.zero())
+    return poly_sum(LaurentPoly.term({"x1": i, "x2": k - i}) for i in range(k + 1))
 
 
 def triangle_points_poly(n: int) -> LaurentPoly:
-    """f_n: one monomial per lattice point of the side-n triangle."""
-    if n < 0:
-        return LaurentPoly.zero()
-    return sum((homogeneous_sum(k) for k in range(n + 1)), LaurentPoly.zero())
+    """f_n: one monomial per lattice point of the side-n triangle; zero
+    for negative n."""
+    return poly_sum(homogeneous_sum(k) for k in range(n + 1))
 
 
 def _open_pieces_sum() -> LaurentPoly:

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import minkring.geometry as geo
+from minkring.laurent import LaurentPoly
 from minkring.scalars import Scalar
 
 
@@ -79,6 +80,25 @@ def bounding_grid_cells(u_lo, u_hi, v_lo, v_hi):
                 cells.append(geo.GridTriUp(u, v))
                 cells.append(geo.GridTriDown(u, v))
     return cells
+
+
+def fold_by_copies(polys):
+    """The running sum ``out = out + p`` over plain dicts: each step copies
+    the whole map and wraps every coefficient in ``Fraction`` again, as
+    polynomial assembly did before it folded into one dict."""
+    out: dict = {}
+    for p in polys:
+        step = dict(out)
+        for m, c in p.terms.items():
+            step[m] = Fraction(step.get(m, 0)) + c
+        out = {m: Fraction(c) for m, c in step.items() if c}
+    return LaurentPoly(out)
+
+
+def well_formed(p) -> bool:
+    """Every coefficient a nonzero Fraction (the trusted constructor's
+    invariant)."""
+    return all(type(c) is Fraction and c for c in p.terms.values())
 
 
 # ---------------------------------------------------------------------------

@@ -284,3 +284,25 @@ def test_malformed_selectors_are_one_line_errors(argv, message, capsys):
     code, report = run(argv)
     assert code == 1 and report == ""
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_bad_character_is_reported_where_it_stands(capsys):
+    for text, pos in (("x1 $ y1", 3), ("x1$y1", 2), ("x1 + \t #", 7), ("  !x", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert err.value.pos == pos
+        assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
+    code, report = run(["member", "--ring", "coxeter", "x1 $ y1"])
+    assert code == 1 and report == ""
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unexpected character '$' (at position 3)"]
+    assert parse_poly(" x1 +  x2  ") == parse_poly("x1+x2")
+
+
+def test_classify_rejects_trailing_selector_parts(capsys):
+    for sel, extra in (("principal:empty:laurent:junk", "junk"),
+                       ("principal:origin:polynomial:xyz:1", "xyz")):
+        code, report = run(["classify", "--ring", sel])
+        assert code == 1 and report == ""
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown principal option {extra!r}"]

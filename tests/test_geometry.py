@@ -316,3 +316,41 @@ def test_membership_intersection_containment_match_oracles(rng, family):
         for outer, inner, in_outer, in_inner in ((a, b, in_a, in_b), (b, a, in_b, in_a)):
             expected = all(o for o, i in zip(in_outer, in_inner) if i)
             assert geo.contains_polytope(outer, inner) == expected
+
+
+def test_grid_cells_anchored_at_one_point_hash_apart():
+    kinds = [geo.GridVertex, geo.GridEdgeU, geo.GridEdgeV, geo.GridEdgeS,
+             geo.GridTriUp, geo.GridTriDown]
+    for u, v in ((0, 0), (3, -2)):
+        assert len({hash(kind(u, v)) for kind in kinds}) == 6
+        assert all(hash(kind(u, v)) == hash(kind(u, v)) for kind in kinds)
+
+
+def offset_for(rng, p: geo.Polytope):
+    """A random translation in the coordinates of geo.translate."""
+    if isinstance(p, geo.Interval):
+        return random_interval(rng, p.mode).lo
+    if isinstance(p, geo.ProductPolytope):
+        return tuple(offset_for(rng, q) for q in p.parts)
+    d = len(p.los) if isinstance(p, geo.Box) else 2
+    return tuple(rng.randint(-4, 4) for _ in range(d))
+
+
+def moved(x, offset):
+    if isinstance(x, tuple):
+        return tuple(moved(a, b) for a, b in zip(x, offset))
+    return x + offset
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shift_cell_is_translation_of_the_decomposition(rng, family):
+    for _ in range(6):
+        p = draw(rng, family)
+        offset = offset_for(rng, p)
+        cells = geo.decompose_cells(p)
+        shifted = [geo.shift_cell(c, offset) for c in cells]
+        assert sorted(shifted, key=geo.cell_sort_key) == sorted(
+            geo.decompose_cells(geo.translate(p, offset)), key=geo.cell_sort_key)
+        for c, s in zip(cells, shifted):
+            assert type(s) is type(c) and geo.cell_dim(s) == geo.cell_dim(c)
+            assert geo.cell_representative(s) == moved(geo.cell_representative(c), offset)

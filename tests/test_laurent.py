@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minkring.cli import parse_poly
-from minkring.laurent import (ArityError, LaurentPoly, univariate_ideal_member)
+from minkring.laurent import (ArityError, LaurentPoly, poly_sum,
+                              univariate_ideal_member)
+from conftest import fold_by_copies, well_formed
 
 X, Y, Z = LaurentPoly.var("x"), LaurentPoly.var("y"), LaurentPoly.var("z")
 
@@ -102,3 +104,32 @@ def test_print_parse_roundtrip(f):
 def test_canonical_order_deterministic():
     f = parse_poly("x + z^2 + y*z - 3")
     assert f.to_text() == "z^2 + y*z + x - 3"
+
+
+# -- one-dict assembly against the running sum of copies ----------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(polys(), max_size=6), st.data())
+def test_poly_sum_matches_running_sum(items, data):
+    if items:  # negated copies of some items make terms cancel, often to zero
+        items += [-p for p in data.draw(st.lists(st.sampled_from(items), max_size=4))]
+    total = poly_sum(items)
+    assert total == fold_by_copies(items) and well_formed(total)
+    assert poly_sum(items + [-total]).is_zero()
+    for f, g in zip(items, items[1:]):
+        for result in (f + g, f - g, -f, f * g, 3 * f, f * 0, f ** 2, f.power_map(0)):
+            assert well_formed(result)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("+-"), polys(max_terms=1)), min_size=1,
+                max_size=8), st.booleans())
+def test_parse_poly_matches_running_sum(signed_terms, cancel):
+    if cancel:  # every term again with the other sign
+        signed_terms += [("-" if s == "+" else "+", t) for s, t in signed_terms]
+    text = " ".join(f"{s} ({t.to_text()})" for s, t in signed_terms)
+    parsed = parse_poly(text)
+    assert parsed == fold_by_copies(t if s == "+" else -t for s, t in signed_terms)
+    assert well_formed(parsed)
+    assert parsed.is_zero() or not cancel

@@ -10,8 +10,9 @@ import minkring.simplefn as sf
 from minkring.cli import parse_poly
 from minkring.laurent import LaurentPoly, monomial
 from minkring.products import product_presentation
-from minkring.presentations import (NonInvertibleError, PrincipalShape,
-                                    WitnessError, box_ring, classify_principal,
+from minkring.presentations import (NonInvertibleError, Presentation,
+                                    PrincipalShape, WitnessError, box_ring,
+                                    classify_principal,
                                     coxeter_nonredundancy_witnesses,
                                     coxeter_ring, interval_ring,
                                     minimality_witness, point_ring)
@@ -299,3 +300,81 @@ def test_phi_monomial_errors():
             ring._phi_monomial(m)
     with pytest.raises(KeyError):
         ring.generator_power("q", 0)
+
+
+# -- phi over shapes and translations against unsplit monomial images --------
+
+
+SPLIT_RINGS = {
+    "coxeter": coxeter_ring,
+    "box:2:signed": lambda: box_ring(2, signed=True),
+    "interval:1,sqrt2:laurent": lambda: interval_ring(1, SQRT2, mode="laurent"),
+    "interval:-1,sqrt2:laurent": lambda: interval_ring(-1, SQRT2, mode="laurent"),
+    "product:box:1:signed,coxeter": lambda: product_presentation(
+        box_ring(1, signed=True), coxeter_ring()).combined,
+}
+
+
+def _unsplit_image(ring, m) -> sf.SimpleFunction:
+    """Image of a monomial with point generators treated like any other:
+    every factor, points included, in one closed-basis product."""
+    factors = []
+    for name, exp in m:
+        dilated = geo.scale(ring.generators[name].polytope, abs(exp))
+        factors.append({dilated: 1} if exp > 0 else
+                       {f: (-1) ** geo.dim(f) for f in geo.faces(geo.negate(dilated))})
+    basis = {geo.origin_of(ring.ambient): 1}
+    for factor in sorted(factors, key=len):
+        basis = sf.closed_product(basis, factor)
+    return sf.from_closed(ring.ambient, basis)
+
+
+def _point_names(ring):
+    return [n for n in ring.names() if geo.dim(ring.generators[n].polytope) == 0]
+
+
+@pytest.mark.parametrize("ring_id", sorted(SPLIT_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_phi_matches_unsplit_monomial_images(ring_id, data):
+    ring = SPLIT_RINGS[ring_id]()
+    points = _point_names(ring)
+    shapes = [n for n in ring.names() if n not in points]
+    exps = st.integers(-3, 3)
+    # few shapes under many translations, and terms that may cancel
+    terms = data.draw(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(shapes), st.integers(-2, 2), max_size=2),
+        st.dictionaries(st.sampled_from(points), exps, min_size=1, max_size=2),
+        st.integers(-3, 3)), min_size=1, max_size=6))
+    coeffs: dict = {}
+    for shape, moves, c in terms:
+        m = monomial({**shape, **moves})
+        coeffs[m] = coeffs.get(m, 0) + c
+    f = LaurentPoly(coeffs)
+    if f.is_zero():
+        expected = sf.zero(ring.ambient)
+    else:
+        expected = sf.combine(list(f.terms.values()),
+                              [_unsplit_image(ring, m) for m in f.terms])
+    fresh = Presentation(ring.ring_id, ring.mode, list(ring.generators.values()))
+    assert fresh.phi(f) == expected
+    assert ring.phi(f) == expected
+    for m in f.terms:
+        assert fresh._phi_monomial(m) == _unsplit_image(ring, m)
+
+
+def test_images_are_cached_per_shape():
+    ring = coxeter_ring()
+    fresh = Presentation("coxeter", "laurent", list(ring.generators.values()))
+    f = parse_poly("z + x1*z + x2^-2*z - x1^3*x2*z + y1*x1^-1 + y1*x2^4 + x1 - x2^-1")
+    assert fresh.phi(f) == ring.phi(f)
+    assert set(fresh._mono_cache) == {(("z", 1),), (("y1", 1),), ()}
+
+
+def test_negative_point_powers_need_laurent_mode():
+    for ring, text in ((interval_ring(1, 2), "x^-1*z"), (interval_ring(0, 3), "x^-2"),
+                       (box_ring(2), "x1^-1*y2"), (box_ring(1), "x^-1")):
+        with pytest.raises(NonInvertibleError):
+            ring.phi(parse_poly(text))
+    ring = box_ring(1, signed=True)
+    assert ring.phi(parse_poly("x^-1")) == sf.indicator(geo.box_point((-1,)))

@@ -9,6 +9,7 @@ import minkring.simplefn as sf
 from minkring.cli import parse_poly
 from minkring.laurent import LaurentPoly
 from minkring.presentations import box_ring, coxeter_ring
+from conftest import fold_by_copies, random_gridset, well_formed
 
 TRI = geo.unit_triangle()
 RING = coxeter_ring()
@@ -147,3 +148,30 @@ def test_normal_form_roundtrip_small():
             target = sf.indicator(moved)
             assert RING.phi(rw.first_normal_form(moved)[1]) == target
             assert RING.phi(rw.second_normal_form(moved)) == target
+
+
+# -- one-dict assembly against the running sum of copies ----------------------
+
+
+def test_normal_forms_and_tilings_match_running_sum(rng):
+    for _ in range(12):
+        s = random_gridset(rng)
+        second = rw.second_normal_form(s)
+        assert second == fold_by_copies(
+            LaurentPoly.term({"x1": a, "x2": b}) * rw._PIECE_POLY[kind]
+            for a, b, kind in rw.second_normal_form_pieces(s))
+        assert well_formed(second)
+    pieces = rw.open_edge(1) + rw.open_edge(2) + rw.open_edge(3) + rw.open_triangle()
+    down = parse_poly("x1*x2*z^-1")
+
+    def points(k):  # f_k, one homogeneous layer at a time
+        return fold_by_copies(LaurentPoly.term({"x1": i, "x2": j - i})
+                              for j in range(k + 1) for i in range(j + 1))
+
+    for n in range(7):
+        tiling = rw.triangle_tiling(n)
+        assert tiling == fold_by_copies([points(n), points(n - 1) * pieces,
+                                         points(n - 2) * down])
+        assert well_formed(tiling)
+        assert rw.strip_identity(n + 1) - rw.strip_edge_identity(n + 1) == \
+            parse_poly(f"z^{n + 1} - z^{n} - y3^{n}*z + y3^{n}")
