@@ -329,12 +329,10 @@ def face_label(face, table) -> str:
 
 
 def format_point(ambient, x) -> str:
+    if isinstance(ambient, geo.Arrangement):
+        return f"{ambient.name}(" + ", ".join(str(c) for c in x) + ")"
     if isinstance(ambient, geo.Line):
         return str(x)
-    if isinstance(ambient, geo.GridPlane):
-        return f"grid({x[0]}, {x[1]})"
-    if isinstance(ambient, geo.BoxSpace):
-        return "box(" + ", ".join(str(c) for c in x) + ")"
     if isinstance(ambient, geo.ProductSpace):
         return "prod[" + "; ".join(format_point(a, xa)
                                    for a, xa in zip(ambient.parts, x)) + "]"

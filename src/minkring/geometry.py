@@ -1,39 +1,40 @@
 """Exact geometry of the supported polytope families.
 
-Four families are modeled, each closed under Minkowski sums:
+Three families are modeled, each closed under Minkowski sums: 1-D closed
+intervals with endpoints in Q or Q(sqrt 2) (:class:`Interval`), lattice
+sets (:class:`LatticeSet`) and finite products of lattice sets
+(:class:`ProductPolytope`).  A lattice set is tight integer bounds
+``lo <= f <= hi`` on the forms of an :class:`Arrangement`: integer linear
+forms on R^d, the coordinates first, and a fine lattice (1/N)Z^d.  Boxes
+(:class:`Box`) take the d coordinates and N = 2; convex polygons of the
+triangular grid (:class:`GridSet`) take u, v and u + v and N = 3.
 
-* 1-D closed intervals with endpoints in Q or Q(sqrt 2)   (:class:`Interval`),
-* axis-aligned boxes with integer vertices in d dimensions (:class:`Box`),
-* convex polygons of the regular triangular grid           (:class:`GridSet`),
-* finite Cartesian products of box/grid polytopes          (:class:`ProductPolytope`).
+Every family is tight bounds ``los`` and ``his`` on fixed forms (t on the
+line; a product concatenates its parts').  Tight bounds are the support
+function on the forms (McMullen, *The polytope algebra*, 1989), so sums,
+dilations, negation, translation, intersection and containment act on the
+bounds alone, through ``rebuild(los, his)``, which tightens a lattice
+system once; a proper face pins a form to one of its bounds.
 
-Each family is a system of tight bounds ``lo <= f <= hi`` on fixed linear
-forms f: t on the line, the coordinates of a box, and u, v and u + v in
-the integer lattice coordinates of the grid, whose lines are their level
-lines; a product concatenates its parts' forms.  Tight bounds are the
-support function on the forms (McMullen, *The polytope algebra*, 1989),
-so sums, dilations, negation, translation, intersection and containment
-act on the bounds alone, and a proper face pins a non-constant form to
-one of its bounds.  Each family gives its bounds as ``pairs()``, rebuilds
-itself from pairs with ``rebuild(pairs)`` (tightening a grid system, whose
-forms are dependent) and evaluates its forms at a point with ``forms(x)``.
-Empty systems and non-integral box or grid coordinates are rejected.
-
-Every polytope decomposes canonically into relatively open cells: lattice
-vertices, open unit edges in the three grid directions, open unit up/down
-triangles, 1-D points and open intervals, unit box cells, and products of
-those.  A cell is the relative interior of its closure: equality on the
-closure's pinned forms (lo == hi), strict bounds on its free ones.  All
-values are immutable; all operations are pure functions.
+Every polytope decomposes canonically into relatively open cells: points
+and open intervals on the line, lattice cells, and their products.  The
+integer level sets of an arrangement's forms cut R^d into cells, each the
+points of one signature (per form, its floor and whether it is integral)
+and each holding a fine lattice point, so an arrangement derives its table
+of cell kinds once by sampling [0, 1)^d, and a lattice set decomposes by
+translating the table.  Empty systems and non-integral lattice coordinates
+are rejected.  All values are immutable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, Iterable, Tuple, Union
+from operator import add, eq, gt, itemgetter, mul, sub
+from typing import Iterable, Union
 
 from .scalars import Scalar, ScalarLike
 
@@ -59,11 +60,6 @@ def _lattice(x) -> int:
 
 
 @dataclass(frozen=True)
-class GridPlane:
-    """The triangular-lattice plane."""
-
-
-@dataclass(frozen=True)
 class Line:
     """The real line with a scalar mode: 'rational' or 'sqrt2'."""
 
@@ -71,16 +67,68 @@ class Line:
 
 
 @dataclass(frozen=True)
-class BoxSpace:
-    dim: int
-
-
-@dataclass(frozen=True)
 class ProductSpace:
     parts: tuple
 
 
-Ambient = Union[GridPlane, Line, BoxSpace, ProductSpace]
+class Arrangement:
+    """Integer linear forms on R^d with coefficients -1, 0 or 1, the
+    coordinates first and any d of them independent, and the fine lattice
+    (1/N)Z^d, which holds a point of every cell.  ``name`` and ``labels``
+    (one per form, or none) spell its lattice sets, of class ``family``, and
+    cells.  It is the ambient space of its lattice sets; equality is
+    identity."""
+
+    def __init__(self, name: str, labels: tuple, forms: tuple, fine: int,
+                 family: type, cell_names: tuple = ()):
+        self.name, self.labels, self.forms, self.fine = name, labels, forms, fine
+        self.family = family
+        self.d = d = len(forms[0])
+        # each dependent form f_k as a relation: the forms in plus sum to those in minus
+        self.relations = tuple(
+            (tuple(i for i, c in enumerate(row) if c > 0),
+             tuple(i for i, c in enumerate(row) if c < 0) + (k,))
+            for k, row in enumerate(forms) if k >= d)
+        # per coordinate j, each dependent form whose last coordinate is j:
+        # (k, its coefficients before j, its coefficient on j)
+        self.last_on = tuple(
+            tuple((k, row[:j], row[j]) for k, row in enumerate(forms)
+                  if k >= d and row[j] and not any(row[j + 1:]))
+            for j in range(d))
+        # The table: a kind per signature of (1/N)Z^d in [0, 1)^d (the first
+        # coordinate fastest), ranked by dimension, then first sample; its closure
+        # bounds are each form's floor and ceiling, its point the samples' mean.
+        samples: dict = {}
+        for index in itertools.product(range(fine), repeat=d):
+            x = tuple(Fraction(i, fine) for i in reversed(index))
+            samples.setdefault(self.signature(x), []).append(x)
+        rows = sorted(((max(0, d - sum(p for _, p in sig)), sig, xs)
+                       for sig, xs in samples.items()), key=lambda row: row[0])
+        self.kinds = tuple(type(
+            cell_names[rank] if cell_names else f"{name.title()}{d}Cell{rank}",
+            (LatticeCell,),
+            {"__slots__": (), "ARRANGEMENT": self, "RANK": rank, "DIM": dim,
+             "SIGNATURE": sig, "LO": tuple(f for f, _ in sig),
+             "HI": tuple(f if p else f + 1 for f, p in sig),
+             "POINT": tuple(sum(c) / len(xs) for c in zip(*xs))})
+            for rank, (dim, sig, xs) in enumerate(rows))
+
+    def __repr__(self) -> str:
+        return f"Arrangement({self.name}, d={self.d})"
+
+    def values(self, x) -> tuple:
+        """The forms evaluated at a point."""
+        return tuple(sum(map(mul, row, x)) for row in self.forms)
+
+    def signature(self, x) -> tuple:
+        """Per form, its floor at x and whether it is integral there: the
+        cell of x, found in integers over a common denominator."""
+        q = math.lcm(*(t.denominator for t in x))
+        n = [t.numerator * (q // t.denominator) for t in x]
+        return tuple((f // q, f % q == 0) for f in self.values(n))
+
+
+Ambient = Union[Line, Arrangement, ProductSpace]
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +149,11 @@ class Interval:
         if self.mode == "rational" and not (self.lo.is_rational and self.hi.is_rational):
             raise ValueError("irrational endpoint in rational-mode interval")
 
-    def pairs(self) -> tuple:
-        return ((self.lo, self.hi),)
+    los = property(lambda self: (self.lo,))
+    his = property(lambda self: (self.hi,))
 
-    def rebuild(self, pairs) -> "Interval":
-        return Interval(*pairs[0], self.mode)
+    def rebuild(self, los, his) -> "Interval":
+        return Interval(los[0], his[0], self.mode)
 
     def forms(self, x) -> tuple:
         return (Scalar.of(x),)
@@ -122,28 +170,93 @@ def line_point(at: ScalarLike, mode: str | None = None) -> Interval:
     return interval(at, at, mode)
 
 
-@dataclass(frozen=True)
-class Box:
-    """Product of integer intervals [los[i], his[i]]; degenerate axes allowed."""
+def _tighten(arr: Arrangement, los: tuple, his: tuple) -> tuple:
+    """The tight bounds (los, his) of a bound system on arr's forms: each
+    relation narrows the bounds of each of its forms to what the others
+    allow, all at once, until nothing changes."""
+    while True:
+        if any(map(gt, los, his)):
+            raise EmptyRegionError(
+                f"empty {arr.name} region {tuple(itertools.chain(*zip(los, his)))}")
+        new_los, new_his = list(los), list(his)
+        for plus, minus in arr.relations:
+            low = high = 0  # the bounds of sum(plus) - sum(minus), which is 0
+            for k in plus:
+                low, high = low + los[k], high + his[k]
+            for k in minus:
+                low, high = low - his[k], high - los[k]
+            # the rest of the relation bounds each form: f_k in plus lies in
+            # [his[k] - high, los[k] - low], f_k in minus in [low + his[k], high + los[k]]
+            for ks, a, b in ((plus, -high, -low), (minus, low, high)):
+                for k in ks:
+                    if his[k] + a > new_los[k]:
+                        new_los[k] = his[k] + a
+                    if los[k] + b < new_his[k]:
+                        new_his[k] = los[k] + b
+        new = tuple(new_los), tuple(new_his)
+        if new == (los, his):
+            return new
+        los, his = new
 
-    los: Tuple[int, ...]
-    his: Tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.los) != len(self.his) or not self.los:
-            raise ValueError("box needs matching, nonempty bound tuples")
-        for a, b in zip(self.los, self.his):
-            if a > b:
-                raise EmptyRegionError(f"box needs a_i <= b_i, got [{a}, {b}]")
+class LatticeSet(tuple):
+    """Tight integer bounds ``los[k] <= f_k <= his[k]`` on the forms f_k of
+    an arrangement, as the tuple (arrangement, los, his), so hash and
+    equality are the tuple's.  The constructor rejects bounds that are not
+    tight; ``rebuild`` tightens new bounds once."""
 
-    def pairs(self) -> tuple:
-        return tuple(zip(self.los, self.his))
+    __slots__ = ()
+    arrangement, los, his = (property(itemgetter(i)) for i in range(3))
 
-    def rebuild(self, pairs) -> "Box":
-        return Box(*zip(*pairs))
+    def __new__(cls, arrangement: Arrangement, los: tuple, his: tuple):
+        tight = _tighten(arrangement, los, his)
+        p = tuple.__new__(cls, (arrangement, los, his))
+        if tight != (los, his):
+            raise ValueError(f"{arrangement.name} bounds not canonical: {p} vs {tight}")
+        return p
+
+    def rebuild(self, los, his) -> "LatticeSet":
+        arr = self[0]
+        return _lattice_set(arr, *_tighten(arr, tuple(los), tuple(his)))
 
     def forms(self, x) -> tuple:
-        return tuple(x)
+        return self[0].values(x)
+
+    def bounds(self) -> tuple:
+        """The lower and upper bound of each form in turn."""
+        return tuple(itertools.chain(*zip(self.los, self.his)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{label}_min={lo}, {label}_max={hi}" for label, lo, hi
+                           in zip(self.arrangement.labels, self.los, self.his))
+        return f"{type(self).__name__}({fields or f'los={self.los}, his={self.his}'})"
+
+
+def _lattice_set(arr: Arrangement, los: tuple, his: tuple) -> LatticeSet:
+    """The lattice set of bounds already known to be tight."""
+    return tuple.__new__(arr.family, (arr, los, his))
+
+
+class Box(LatticeSet):
+    """Product of integer intervals [los[i], his[i]]; degenerate axes allowed."""
+
+    __slots__ = ()
+
+    def __new__(cls, los: tuple, his: tuple):
+        if len(los) != len(his) or not los:
+            raise ValueError("box needs matching, nonempty bound tuples")
+        return super().__new__(cls, box_arrangement(len(los)), tuple(los), tuple(his))
+
+
+_BOX_ARRANGEMENTS: dict = {}
+
+
+def box_arrangement(d: int) -> Arrangement:
+    """The d coordinates with fine lattice (1/2)Z^d, built once per d."""
+    if d not in _BOX_ARRANGEMENTS:
+        identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        _BOX_ARRANGEMENTS[d] = Arrangement("box", (), identity, 2, Box)
+    return _BOX_ARRANGEMENTS[d]
 
 
 def box(los: Iterable[int], his: Iterable[int]) -> Box:
@@ -155,54 +268,53 @@ def box_point(coords: Iterable[int]) -> Box:
     return Box(c, c)
 
 
-@dataclass(frozen=True)
-class GridSet:
+class GridSet(LatticeSet):
     """Canonical convex polygon of the triangular grid (tight bounds)."""
 
-    u_min: int
-    u_max: int
-    v_min: int
-    v_max: int
-    s_min: int
-    s_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        tight = _tighten(*self.bounds())
-        if tight != self.bounds():
-            raise ValueError(f"grid bounds not canonical: {self} vs {tight}")
+    def __new__(cls, u_min: int, u_max: int, v_min: int, v_max: int,
+                s_min: int, s_max: int):
+        return super().__new__(cls, GRID, (u_min, v_min, s_min), (u_max, v_max, s_max))
 
-    def bounds(self) -> tuple:
-        return (self.u_min, self.u_max, self.v_min, self.v_max, self.s_min, self.s_max)
-
-    def pairs(self) -> tuple:
-        return ((self.u_min, self.u_max), (self.v_min, self.v_max),
-                (self.s_min, self.s_max))
-
-    def rebuild(self, pairs) -> "GridSet":
-        (u0, u1), (v0, v1), (s0, s1) = pairs
-        return grid_set(u0, u1, v0, v1, s0, s1)
-
-    def forms(self, x) -> tuple:
-        u, v = x
-        return (u, v, u + v)
+    u_min, v_min, s_min = (property(lambda self, k=k: self.los[k]) for k in range(3))
+    u_max, v_max, s_max = (property(lambda self, k=k: self.his[k]) for k in range(3))
 
 
-def _tighten(u0, u1, v0, v1, s0, s1):
-    while True:
-        if u0 > u1 or v0 > v1 or s0 > s1:
-            raise EmptyRegionError(f"empty grid region {(u0, u1, v0, v1, s0, s1)}")
-        nxt = (max(u0, s0 - v1), min(u1, s1 - v0),
-               max(v0, s0 - u1), min(v1, s1 - u0),
-               max(s0, u0 + v0), min(s1, u1 + v1))
-        if nxt == (u0, u1, v0, v1, s0, s1):
-            return nxt
-        u0, u1, v0, v1, s0, s1 = nxt
+class LatticeCell(tuple):
+    """Cell of an arrangement, the tuple (kind, *anchor): the kind is a row of
+    the arrangement's table, a subclass holding its ARRANGEMENT, RANK, DIM,
+    SIGNATURE, closure bounds LO and HI and representative POINT at anchor
+    0, moved to the integer anchor.  Hash and equality are the tuple's."""
+
+    __slots__ = ()
+
+    def __new__(cls, *anchor):
+        return tuple.__new__(cls, (cls, *anchor))
+
+    def __repr__(self) -> str:
+        labels = self.ARRANGEMENT.labels or itertools.repeat("")
+        body = ", ".join(f"{label}={a}" if label else str(a)
+                         for label, a in zip(labels, self[1:]))
+        return f"{type(self).__name__}({body})"
+
+
+GRID = Arrangement("grid", ("u", "v", "s"), ((1, 0), (0, 1), (1, 1)), 3, GridSet, (
+    "GridVertex", "GridEdgeU", "GridEdgeV", "GridEdgeS", "GridTriUp", "GridTriDown"))
+# vertex (u, v); open unit edges to (u+1, v), to (u, v+1) and between; triangles up, down
+GridVertex, GridEdgeU, GridEdgeV, GridEdgeS, GridTriUp, GridTriDown = GRID.kinds
+
+
+def GridPlane() -> Arrangement:
+    """The triangular-lattice plane: the grid arrangement."""
+    return GRID
 
 
 def grid_set(u_min: int, u_max: int, v_min: int, v_max: int,
              s_min: int, s_max: int) -> GridSet:
     """Build a canonical GridSet, tightening the six bounds first."""
-    return GridSet(*_tighten(u_min, u_max, v_min, v_max, s_min, s_max))
+    return _lattice_set(GRID, *_tighten(GRID, (u_min, v_min, s_min),
+                                        (u_max, v_max, s_max)))
 
 
 def grid_point_set(u: int, v: int) -> GridSet:
@@ -215,11 +327,8 @@ def unit_triangle() -> GridSet:
 
 @dataclass(frozen=True)
 class ProductPolytope:
-    """Cartesian product; parts occupy disjoint coordinate blocks.
-
-    Only lattice-cell families (boxes and grid polygons) may appear as
-    parts, which keeps the product cell decomposition canonical.
-    """
+    """Cartesian product of lattice sets on disjoint coordinate blocks
+    (lattice parts keep the product cell decomposition canonical)."""
 
     parts: tuple
 
@@ -227,18 +336,18 @@ class ProductPolytope:
         if len(self.parts) < 2:
             raise ValueError("product needs at least two parts")
         for p in self.parts:
-            if not isinstance(p, (Box, GridSet)):
+            if not isinstance(p, LatticeSet):
                 raise FamilyMismatchError(
                     f"product parts must be Box or GridSet, got {type(p).__name__}"
                 )
 
-    def pairs(self) -> tuple:
-        return tuple(pair for q in self.parts for pair in q.pairs())
+    los = property(lambda self: sum((q.los for q in self.parts), ()))
+    his = property(lambda self: sum((q.his for q in self.parts), ()))
 
-    def rebuild(self, pairs) -> "ProductPolytope":
-        rest = iter(pairs)  # each part takes as many pairs as it has forms
+    def rebuild(self, los, his) -> "ProductPolytope":
+        rest = zip(los, his)  # each part takes as many bounds as it has forms
         return ProductPolytope(tuple(
-            q.rebuild(tuple(itertools.islice(rest, len(q.pairs())))) for q in self.parts))
+            q.rebuild(*zip(*itertools.islice(rest, len(q.los)))) for q in self.parts))
 
     def forms(self, x) -> tuple:
         return tuple(f for q, xq in zip(self.parts, x) for f in q.forms(xq))
@@ -254,7 +363,7 @@ def product(*parts) -> ProductPolytope:
     return ProductPolytope(tuple(flat))
 
 
-Polytope = Union[Interval, Box, GridSet, ProductPolytope]
+Polytope = Union[Interval, LatticeSet, ProductPolytope]
 
 
 # ---------------------------------------------------------------------------
@@ -262,57 +371,42 @@ Polytope = Union[Interval, Box, GridSet, ProductPolytope]
 
 
 def ambient_of(p: Polytope) -> Ambient:
-    if isinstance(p, Interval):
-        return Line(p.mode)
-    if isinstance(p, Box):
-        return BoxSpace(len(p.los))
-    if isinstance(p, GridSet):
-        return GridPlane()
+    if isinstance(p, LatticeSet):
+        return p.arrangement
     if isinstance(p, ProductPolytope):
         return ProductSpace(tuple(ambient_of(q) for q in p.parts))
-    raise TypeError(f"not a polytope: {p!r}")
+    return Line(p.mode)
 
 
 def origin_of(ambient: Ambient) -> Polytope:
-    if isinstance(ambient, Line):
-        return Interval(Scalar.of(0), Scalar.of(0), ambient.mode)
-    if isinstance(ambient, BoxSpace):
-        return box_point((0,) * ambient.dim)
-    if isinstance(ambient, GridPlane):
-        return grid_point_set(0, 0)
+    if isinstance(ambient, Arrangement):
+        zero = (0,) * len(ambient.forms)
+        return _lattice_set(ambient, zero, zero)
     if isinstance(ambient, ProductSpace):
         return ProductPolytope(tuple(origin_of(a) for a in ambient.parts))
-    raise TypeError(f"not an ambient: {ambient!r}")
+    return Interval(Scalar.of(0), Scalar.of(0), ambient.mode)
 
 
 def dim(p: Polytope) -> int:
-    if isinstance(p, Interval):
-        return 0 if p.lo == p.hi else 1
-    if isinstance(p, Box):
-        return sum(1 for a, b in zip(p.los, p.his) if a < b)
-    if isinstance(p, GridSet):
-        if p.u_min == p.u_max and p.v_min == p.v_max:
-            return 0
-        if p.u_min == p.u_max or p.v_min == p.v_max or p.s_min == p.s_max:
-            return 1
-        return 2
+    if isinstance(p, LatticeSet):
+        return max(0, p.arrangement.d - sum(map(eq, p.los, p.his)))
     if isinstance(p, ProductPolytope):
         return sum(dim(q) for q in p.parts)
-    raise TypeError(f"not a polytope: {p!r}")
+    return 0 if p.lo == p.hi else 1
 
 
-def _paired(a: Polytope, b: Polytope):
-    """The bound pairs of a and b side by side; both must be one family."""
+def _paired(a: Polytope, b: Polytope) -> None:
+    """Check that a and b are one family on one ambient."""
     if type(a) is not type(b) or ambient_of(a) != ambient_of(b):
         raise FamilyMismatchError(
             f"mismatched families: {type(a).__name__} vs {type(b).__name__}"
         )
-    return zip(a.pairs(), b.pairs())
 
 
 def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
     """Minkowski sum within one family: the bounds add."""
-    return a.rebuild(tuple((la + lb, ha + hb) for (la, ha), (lb, hb) in _paired(a, b)))
+    _paired(a, b)
+    return a.rebuild(tuple(map(add, a.los, b.los)), tuple(map(add, a.his, b.his)))
 
 
 def scale(p: Polytope, k: int) -> Polytope:
@@ -320,11 +414,11 @@ def scale(p: Polytope, k: int) -> Polytope:
     origin point of the same block."""
     if k < 0:
         raise ValueError("scale needs k >= 0")
-    return p.rebuild(tuple((lo * k, hi * k) for lo, hi in p.pairs()))
+    return p.rebuild(tuple(lo * k for lo in p.los), tuple(hi * k for hi in p.his))
 
 
 def negate(p: Polytope) -> Polytope:
-    return p.rebuild(tuple((-hi, -lo) for lo, hi in p.pairs()))
+    return p.rebuild(tuple(-hi for hi in p.his), tuple(-lo for lo in p.los))
 
 
 def translate(p: Polytope, offset) -> Polytope:
@@ -333,17 +427,19 @@ def translate(p: Polytope, offset) -> Polytope:
     shift = p.forms(offset)
     if not isinstance(p, Interval):
         shift = tuple(_lattice(d) for d in shift)
-    return p.rebuild(tuple((lo + d, hi + d) for (lo, hi), d in zip(p.pairs(), shift)))
+    return p.rebuild(tuple(map(add, p.los, shift)), tuple(map(add, p.his, shift)))
 
 
 def contains_point(p: Polytope, x) -> bool:
     """Exact membership of a point given in the ambient coordinates
     (Scalar on the line, Fraction pairs/tuples elsewhere)."""
-    return all(lo <= f <= hi for (lo, hi), f in zip(p.pairs(), p.forms(x)))
+    return all(lo <= f <= hi for lo, hi, f in zip(p.los, p.his, p.forms(x)))
 
 
 def contains_polytope(outer: Polytope, inner: Polytope) -> bool:
-    return all(ol <= il and ih <= oh for (ol, oh), (il, ih) in _paired(outer, inner))
+    _paired(outer, inner)
+    return all(ol <= il and ih <= oh
+               for ol, oh, il, ih in zip(outer.los, outer.his, inner.los, inner.his))
 
 
 def intersect(a: Polytope, b: Polytope) -> Polytope:
@@ -352,8 +448,8 @@ def intersect(a: Polytope, b: Polytope) -> Polytope:
     Used as an independent membership oracle: x is in P + Q exactly when
     P meets x - Q.
     """
-    return a.rebuild(tuple((max(la, lb), min(ha, hb))
-                           for (la, ha), (lb, hb) in _paired(a, b)))
+    _paired(a, b)
+    return a.rebuild(tuple(map(max, a.los, b.los)), tuple(map(min, a.his, b.his)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +457,12 @@ def intersect(a: Polytope, b: Polytope) -> Polytope:
 
 
 def polytope_sort_key(p: Polytope):
-    if isinstance(p, Interval):
-        data = (p.lo.p, p.lo.q, p.hi.p, p.hi.q)
-    elif isinstance(p, Box):
-        data = p.los + p.his
-    elif isinstance(p, GridSet):
+    if isinstance(p, LatticeSet):
         data = p.bounds()
-    else:
+    elif isinstance(p, ProductPolytope):
         data = tuple(polytope_sort_key(q) for q in p.parts)
+    else:
+        data = (p.lo.p, p.lo.q, p.hi.p, p.hi.q)
     return (dim(p), data)
 
 
@@ -378,11 +472,12 @@ def faces(p: Polytope) -> tuple:
     p, and the faces of each pinning of one non-constant form of p to its
     lower or upper bound, which come through the cache."""
     out = {p}
-    pairs = p.pairs()
-    for i, (lo, hi) in enumerate(pairs):
+    los, his = p.los, p.his
+    for i, (lo, hi) in enumerate(zip(los, his)):
         if lo != hi:
             for end in (lo, hi):
-                out.update(faces(p.rebuild(pairs[:i] + ((end, end),) + pairs[i + 1:])))
+                out.update(faces(p.rebuild(los[:i] + (end,) + los[i + 1:],
+                                           his[:i] + (end,) + his[i + 1:])))
     return tuple(sorted(out, key=polytope_sort_key))
 
 
@@ -403,82 +498,15 @@ def vertex_coords(p: Polytope):
     :func:`translate`: the Scalar on the line, integers elsewhere."""
     if dim(p) != 0:
         raise ValueError("vertex_coords needs a 0-dimensional polytope")
-    if isinstance(p, Interval):
-        return p.lo
-    if isinstance(p, Box):
-        return p.los
-    if isinstance(p, GridSet):
-        return (p.u_min, p.v_min)
-    return tuple(vertex_coords(q) for q in p.parts)
+    if isinstance(p, LatticeSet):
+        return p.los[:p.arrangement.d]
+    if isinstance(p, ProductPolytope):
+        return tuple(vertex_coords(q) for q in p.parts)
+    return p.lo
 
 
 # ---------------------------------------------------------------------------
 # canonical cells
-
-
-_THIRD, _HALF = Fraction(1, 3), Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class _GridCell:
-    """Relatively open cell of the unit triangulation, anchored at (u, v).
-
-    Each subclass is one row of the cell table: its sort RANK, its DIM, the
-    CLOSURE offsets added to the bounds (u, u, v, v, u+v, u+v) of the
-    anchor, and an interior POINT as an offset from the anchor.
-    """
-
-    u: int
-    v: int
-    RANK: ClassVar[int]
-    DIM: ClassVar[int]
-    CLOSURE: ClassVar[tuple]
-    POINT: ClassVar[tuple]
-
-    def __hash__(self) -> int:
-        # The generated hash would leave out the kind, so the six cells
-        # anchored at one (u, v) would share a hash.
-        return hash((self.RANK, self.u, self.v))
-
-
-class GridVertex(_GridCell):
-    """Lattice point (u, v)."""
-
-    RANK, DIM, CLOSURE, POINT = 0, 0, (0, 0, 0, 0, 0, 0), (Fraction(0), Fraction(0))
-
-
-class GridEdgeU(_GridCell):
-    """Open unit edge from (u, v) to (u+1, v)."""
-
-    RANK, DIM, CLOSURE, POINT = 1, 1, (0, 1, 0, 0, 0, 1), (_HALF, Fraction(0))
-
-
-class GridEdgeV(_GridCell):
-    """Open unit edge from (u, v) to (u, v+1)."""
-
-    RANK, DIM, CLOSURE, POINT = 2, 1, (0, 0, 0, 1, 0, 1), (Fraction(0), _HALF)
-
-
-class GridEdgeS(_GridCell):
-    """Open unit edge from (u+1, v) to (u, v+1), on the line s = u+v+1."""
-
-    RANK, DIM, CLOSURE, POINT = 3, 1, (0, 1, 0, 1, 1, 1), (_HALF, _HALF)
-
-
-class GridTriUp(_GridCell):
-    """Open triangle with vertices (u, v), (u+1, v), (u, v+1)."""
-
-    RANK, DIM, CLOSURE, POINT = 4, 2, (0, 1, 0, 1, 0, 1), (_THIRD, _THIRD)
-
-
-class GridTriDown(_GridCell):
-    """Open triangle with vertices (u+1, v), (u, v+1), (u+1, v+1)."""
-
-    RANK, DIM, CLOSURE, POINT = 5, 2, (0, 1, 0, 1, 1, 2), (2 * _THIRD, 2 * _THIRD)
-
-
-_GRID_CELLS = tuple((kind,) + kind.CLOSURE for kind in (
-    GridVertex, GridEdgeU, GridEdgeV, GridEdgeS, GridTriUp, GridTriDown))
 
 
 @dataclass(frozen=True)
@@ -497,145 +525,115 @@ class OpenInterval1D:
 
 
 @dataclass(frozen=True)
-class BoxCell:
-    """Per axis either the lattice point k or the open unit gap (k, k+1)."""
-
-    axes: tuple  # of (k, is_open)
-
-
-@dataclass(frozen=True)
 class ProductCell:
     parts: tuple
 
 
-Cell = Union[_GridCell, Point1D, OpenInterval1D, BoxCell, ProductCell]
+Cell = Union[LatticeCell, Point1D, OpenInterval1D, ProductCell]
+_cell = tuple.__new__  # (kind, (kind, *anchor)): a lattice cell
 
 
 def cell_dim(c: Cell) -> int:
-    if isinstance(c, _GridCell):
-        return c.DIM
-    if isinstance(c, Point1D):
-        return 0
-    if isinstance(c, OpenInterval1D):
-        return 1
-    if isinstance(c, BoxCell):
-        return sum(1 for _, open_ in c.axes if open_)
+    if isinstance(c, LatticeCell):
+        return c[0].DIM
     if isinstance(c, ProductCell):
         return sum(cell_dim(q) for q in c.parts)
-    raise TypeError(f"not a cell: {c!r}")
+    return 0 if isinstance(c, Point1D) else 1
 
 
 def cell_sort_key(c: Cell):
-    if isinstance(c, _GridCell):
-        return (c.DIM, c.RANK, c.u, c.v)
-    if isinstance(c, Point1D):
-        return (0, 0, c.at.p, c.at.q)
-    if isinstance(c, OpenInterval1D):
-        return (1, 1, c.lo.p, c.lo.q, c.hi.p, c.hi.q)
-    if isinstance(c, BoxCell):
-        return (cell_dim(c), 0, c.axes)
+    if isinstance(c, LatticeCell):
+        return (c[0].DIM, c[0].RANK) + c[1:]
     if isinstance(c, ProductCell):
         return (cell_dim(c), 9, tuple(cell_sort_key(q) for q in c.parts))
-    raise TypeError(f"not a cell: {c!r}")
+    if isinstance(c, Point1D):
+        return (0, 0, c.at.p, c.at.q)
+    return (1, 1, c.lo.p, c.lo.q, c.hi.p, c.hi.q)
 
 
 def cell_closure(c: Cell, line_mode: str | None = None) -> Polytope:
-    """The topological closure of a cell, as a family polytope.
-
-    1-D cells carry no scalar-mode tag of their own, so the ambient's mode
-    must be supplied to close them inside a sqrt2-mode line; otherwise the
-    mode is inferred from the endpoint values.
-    """
-    if isinstance(c, _GridCell):
-        s = c.u + c.v
-        return GridSet(*(b + d for b, d in zip((c.u, c.u, c.v, c.v, s, s), c.CLOSURE)))
-    if isinstance(c, Point1D):
-        return interval(c.at, c.at, line_mode)
-    if isinstance(c, OpenInterval1D):
-        return interval(c.lo, c.hi, line_mode)
-    if isinstance(c, BoxCell):
-        return Box(tuple(k for k, _ in c.axes),
-                   tuple(k + 1 if open_ else k for k, open_ in c.axes))
+    """The topological closure of a cell, as a family polytope.  Line
+    cells carry no scalar mode, so a sqrt2-mode line passes its mode;
+    otherwise the mode is inferred from the endpoint values."""
+    if isinstance(c, LatticeCell):
+        kind = c[0]
+        at = kind.ARRANGEMENT.values(c[1:])
+        return _lattice_set(kind.ARRANGEMENT, tuple(map(add, at, kind.LO)),
+                            tuple(map(add, at, kind.HI)))
     if isinstance(c, ProductCell):
         return ProductPolytope(tuple(cell_closure(q) for q in c.parts))
-    raise TypeError(f"not a cell: {c!r}")
+    if isinstance(c, Point1D):
+        return interval(c.at, c.at, line_mode)
+    return interval(c.lo, c.hi, line_mode)
 
 
 def cell_representative(c: Cell):
     """One exact point in the relative interior of the cell."""
-    if isinstance(c, _GridCell):
-        return (c.u + c.POINT[0], c.v + c.POINT[1])
-    if isinstance(c, Point1D):
-        return c.at
-    if isinstance(c, OpenInterval1D):
-        return (c.lo + c.hi) / 2
-    if isinstance(c, BoxCell):
-        return tuple(k + _HALF if open_ else Fraction(k) for k, open_ in c.axes)
+    if isinstance(c, LatticeCell):
+        return tuple(map(add, c[1:], c[0].POINT))
     if isinstance(c, ProductCell):
         return tuple(cell_representative(q) for q in c.parts)
-    raise TypeError(f"not a cell: {c!r}")
+    return c.at if isinstance(c, Point1D) else (c.lo + c.hi) / 2
 
 
 def shift_cell(c: Cell, offset) -> Cell:
     """The cell moved by offset, given in the coordinates of
     :func:`translate` (Scalar on the line, integer tuples elsewhere, one
     per part for products)."""
-    if isinstance(c, _GridCell):
-        return type(c)(c.u + offset[0], c.v + offset[1])
-    if isinstance(c, Point1D):
-        return Point1D(c.at + offset)
-    if isinstance(c, OpenInterval1D):
-        return OpenInterval1D(c.lo + offset, c.hi + offset)
-    if isinstance(c, BoxCell):
-        return BoxCell(tuple((k + d, open_) for (k, open_), d in zip(c.axes, offset)))
+    if isinstance(c, LatticeCell):
+        kind = c[0]
+        return _cell(kind, (kind, *map(add, c[1:], offset)))
     if isinstance(c, ProductCell):
         return ProductCell(tuple(shift_cell(q, d) for q, d in zip(c.parts, offset)))
-    raise TypeError(f"not a cell: {c!r}")
+    if isinstance(c, Point1D):
+        return Point1D(c.at + offset)
+    return OpenInterval1D(c.lo + offset, c.hi + offset)
 
 
 def cell_contains(c: Cell, x) -> bool:
-    """Membership in the cell, the relative interior of its closure:
-    equality on the closure's pinned forms, strict bounds on its free ones."""
-    closure = cell_closure(c)
-    return all(f == lo if lo == hi else lo < f < hi
-               for (lo, hi), f in zip(closure.pairs(), closure.forms(x)))
+    """Membership in the cell: a lattice cell holds the points of its
+    signature; a line cell is its point or open interval."""
+    if isinstance(c, LatticeCell):
+        kind, arr = c[0], c[0].ARRANGEMENT
+        return arr.signature(x) == tuple((f + at, integral) for (f, integral), at
+                                         in zip(kind.SIGNATURE, arr.values(c[1:])))
+    if isinstance(c, ProductCell):
+        return all(cell_contains(q, xq) for q, xq in zip(c.parts, x))
+    t = Scalar.of(x)
+    return t == c.at if isinstance(c, Point1D) else c.lo < t < c.hi
 
 
-# ---------------------------------------------------------------------------
-# canonical decomposition into cells
+def _integer_points(arr: Arrangement, los: tuple, his: tuple) -> list:
+    """The integer points x with los[k] <= f_k(x) <= his[k]: coordinate j
+    ranges over its own bounds narrowed, given the coordinates before it, by
+    the forms whose last coordinate it is, so no candidate is rejected."""
+    if any(map(gt, los, his)):
+        return []
+    points = [()]
+    for j, forms in enumerate(arr.last_on):
+        grown = []
+        for x in points:
+            lo, hi = los[j], his[j]
+            for k, head, c in forms:  # c * x_j lies in [los[k], his[k]] less the rest
+                rest = sum(map(mul, head, x))
+                a, b = los[k] - rest, his[k] - rest
+                lo, hi = (max(lo, a), min(hi, b)) if c > 0 else (max(lo, -b), min(hi, -a))
+            grown += [x + (t,) for t in range(lo, hi + 1)]
+        points = grown
+    return points
 
 
 @lru_cache(maxsize=None)
 def decompose_cells(p: Polytope) -> tuple:
     """Disjoint canonical cells whose union is exactly p."""
-    if isinstance(p, Interval):
-        if p.lo == p.hi:
-            return (Point1D(p.lo),)
-        return (Point1D(p.lo), OpenInterval1D(p.lo, p.hi), Point1D(p.hi))
-    if isinstance(p, Box):
-        axis_cells = []
-        for a, b in zip(p.los, p.his):
-            opts = []
-            for k in range(a, b + 1):
-                opts.append((k, False))
-                if k < b:
-                    opts.append((k, True))
-            axis_cells.append(opts)
-        return tuple(BoxCell(combo) for combo in itertools.product(*axis_cells))
-    if isinstance(p, GridSet):  # every cell whose closure lies in p, kind by kind
-        cells = []
-        u0, u1, v0, v1, s0, s1 = p.bounds()
-        for kind, du0, du1, dv0, dv1, ds0, ds1 in _GRID_CELLS:
-            v_min, v_max = v0 - dv0, v1 - dv1
-            for u in range(u0 - du0, u1 - du1 + 1):
-                lo, hi = s0 - ds0 - u, s1 - ds1 - u  # the bounds on u + v, on v
-                lo, hi = lo if lo > v_min else v_min, hi if hi < v_max else v_max
-                for v in range(lo, hi + 1):
-                    cells.append(kind(u, v))
-        return tuple(cells)
+    if isinstance(p, LatticeSet):  # each kind at each anchor where its closure is in p
+        arr = p.arrangement
+        return tuple(_cell(kind, (kind, *anchor)) for kind in arr.kinds
+                     for anchor in _integer_points(arr, tuple(map(sub, p.los, kind.LO)),
+                                                   tuple(map(sub, p.his, kind.HI))))
     if isinstance(p, ProductPolytope):
-        return tuple(
-            ProductCell(combo)
-            for combo in itertools.product(*(decompose_cells(q) for q in p.parts))
-        )
-    raise TypeError(f"not a polytope: {p!r}")
+        return tuple(ProductCell(combo) for combo in
+                     itertools.product(*(decompose_cells(q) for q in p.parts)))
+    if p.lo == p.hi:
+        return (Point1D(p.lo),)
+    return (Point1D(p.lo), OpenInterval1D(p.lo, p.hi), Point1D(p.hi))

@@ -66,15 +66,13 @@ def covers_vertices(c: CoverSpec) -> bool:
     return True
 
 
+def _negated(x):
+    return tuple(_negated(c) for c in x) if isinstance(x, tuple) else -x
+
+
 def _anchor_offset(p: Polytope):
-    v = min(geo.vertices(p), key=geo.polytope_sort_key)
-    if isinstance(p, geo.Interval):
-        return -v.lo
-    if isinstance(p, geo.Box):
-        return tuple(-a for a in v.los)
-    if isinstance(p, geo.GridSet):
-        return (-v.u_min, -v.v_min)
-    raise ValueError(f"no anchored embedding for {type(p).__name__}")
+    """The offset that moves p's least vertex to the origin."""
+    return _negated(geo.vertex_coords(min(geo.vertices(p), key=geo.polytope_sort_key)))
 
 
 def anchored(c: CoverSpec) -> tuple:
@@ -125,12 +123,9 @@ def id_context(c: CoverSpec) -> tuple:
     """
     ac, off = anchored(c)
     p = ac.polytope
-    if isinstance(p, geo.GridSet):
-        pres = coxeter_ring()
-        p_poly = _face_poly(p)
-        face_polys = [_face_poly(f) for f in ac.faces]
-    elif isinstance(p, geo.Box):
-        pres = box_ring(len(p.los), signed=True)
+    if isinstance(p, geo.LatticeSet):
+        pres = coxeter_ring() if isinstance(p, geo.GridSet) else box_ring(
+            len(p.los), signed=True)
         p_poly = _face_poly(p)
         face_polys = [_face_poly(f) for f in ac.faces]
     elif isinstance(p, geo.Interval):

@@ -68,16 +68,18 @@ class Generator:
 
 
 def polytope_text(p: Polytope) -> str:
+    if isinstance(p, geo.LatticeSet):
+        a = p.arrangement
+        if a.labels:
+            body = ", ".join(f"{label}:{lo}..{hi}"
+                             for label, lo, hi in zip(a.labels, p.los, p.his))
+        else:
+            body = " x ".join(f"{lo}..{hi}" for lo, hi in zip(p.los, p.his))
+        return f"{a.name}[{body}]"
     if isinstance(p, geo.Interval):
         if p.lo == p.hi:
             return f"point[{p.lo}]"
         return f"interval[{p.lo}, {p.hi}]"
-    if isinstance(p, geo.Box):
-        body = " x ".join(f"{a}..{b}" for a, b in zip(p.los, p.his))
-        return f"box[{body}]"
-    if isinstance(p, geo.GridSet):
-        return (f"grid[u:{p.u_min}..{p.u_max}, v:{p.v_min}..{p.v_max},"
-                f" s:{p.s_min}..{p.s_max}]")
     if isinstance(p, geo.ProductPolytope):
         return "prod[" + "; ".join(polytope_text(q) for q in p.parts) + "]"
     raise TypeError(f"not a polytope: {p!r}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import geometry as geo
 from .geometry import (GridEdgeS, GridEdgeU, GridEdgeV, GridSet, GridTriDown,
                        GridTriUp, GridVertex)
-from .laurent import LaurentPoly, poly_sum
+from .laurent import LaurentPoly, mono_text, poly_sum
 from .presentations import box_ring, coxeter_ring
 
 _X1 = LaurentPoly.var("x1")
@@ -149,7 +149,8 @@ def second_normal_form_pieces(s: GridSet) -> tuple:
     pieces = []
     for cell in geo.decompose_cells(s):
         kind, shift = _PIECE_OF_CELL[type(cell)]
-        pieces.append((cell.u + shift, cell.v + shift, kind))
+        u, v = cell[1:]
+        pieces.append((u + shift, v + shift, kind))
     return tuple(sorted(pieces, key=lambda t: (_PIECE_ORDER[t[2]], t[0], t[1])))
 
 
@@ -161,12 +162,11 @@ def second_normal_form(s: GridSet) -> LaurentPoly:
 
 def piece_text(piece) -> str:
     a, b, kind = piece
-    mono = LaurentPoly.term({"x1": a, "x2": b})
+    mono = tuple((name, e) for name, e in (("x1", a), ("x2", b)) if e)
     sym = "z^-1" if kind == "zinv" else kind
-    if mono == 1:
+    if not mono:
         return sym
-    body = mono.to_text()
-    return body if kind == "1" else f"{body}*{sym}"
+    return mono_text(mono) if kind == "1" else f"{mono_text(mono)}*{sym}"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ rational bound system of A intersected with x - B.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -79,6 +81,29 @@ def bounding_grid_cells(u_lo, u_hi, v_lo, v_hi):
                 cells.append(geo.GridEdgeS(u, v))
                 cells.append(geo.GridTriUp(u, v))
                 cells.append(geo.GridTriDown(u, v))
+    return cells
+
+
+def sampled_cells(p: geo.LatticeSet) -> set:
+    """The cells of a lattice set found by sampling: the cell of every point
+    of the fine lattice (1/N)Z^d that lies in p.  Membership and signatures
+    are computed here from the arrangement's forms; a kind is looked up by
+    its signature at anchor 0, so the table's translation is not used."""
+    arr = p.arrangement
+    n, d = arr.fine, arr.d
+    kind_of = {kind.SIGNATURE: kind for kind in arr.kinds}
+    cells = set()
+    for index in itertools.product(*(range(lo * n, hi * n + 1)
+                                     for lo, hi in zip(p.los[:d], p.his[:d]))):
+        x = tuple(Fraction(i, n) for i in index)
+        values = [sum(c * xi for c, xi in zip(row, x)) for row in arr.forms]
+        if not all(lo <= v <= hi for lo, hi, v in zip(p.los, p.his, values)):
+            continue
+        anchor = tuple(math.floor(xi) for xi in x)
+        at_anchor = [sum(c * a for c, a in zip(row, anchor)) for row in arr.forms]
+        signature = tuple((math.floor(v) - fa, v.denominator == 1)
+                          for v, fa in zip(values, at_anchor))
+        cells.add(kind_of[signature](*anchor))
     return cells
 
 

@@ -7,7 +7,7 @@ import minkring.geometry as geo
 from minkring.scalars import Scalar
 from conftest import (bounding_grid_cells, naive_grid_member, naive_sum_member,
                       random_box, random_family_polytope, random_gridset,
-                      random_interval)
+                      random_interval, sampled_cells)
 
 OA_EDGE = geo.grid_set(0, 1, 0, 0, 0, 1)
 OB_EDGE = geo.grid_set(0, 0, 0, 1, 0, 1)
@@ -354,3 +354,82 @@ def test_shift_cell_is_translation_of_the_decomposition(rng, family):
         for c, s in zip(cells, shifted):
             assert type(s) is type(c) and geo.cell_dim(s) == geo.cell_dim(c)
             assert geo.cell_representative(s) == moved(geo.cell_representative(c), offset)
+
+
+# ---------------------------------------------------------------------------
+# the derived cell tables
+
+
+def test_grid_table_is_the_hand_written_one():
+    # (name, rank, dim, closure offsets on (u, u, v, v, s, s), point) as the
+    # grid cells were written out by hand before the table was derived
+    third = Fraction(1, 3)
+    expected = [
+        ("GridVertex", 0, 0, (0, 0, 0, 0, 0, 0), (0, 0)),
+        ("GridEdgeU", 1, 1, (0, 1, 0, 0, 0, 1), (Fraction(1, 2), 0)),
+        ("GridEdgeV", 2, 1, (0, 0, 0, 1, 0, 1), (0, Fraction(1, 2))),
+        ("GridEdgeS", 3, 1, (0, 1, 0, 1, 1, 1), (Fraction(1, 2), Fraction(1, 2))),
+        ("GridTriUp", 4, 2, (0, 1, 0, 1, 0, 1), (third, third)),
+        ("GridTriDown", 5, 2, (0, 1, 0, 1, 1, 2), (2 * third, 2 * third)),
+    ]
+    got = [(k.__name__, k.RANK, k.DIM, tuple(itertools.chain(*zip(k.LO, k.HI))), k.POINT)
+           for k in geo.GRID.kinds]
+    assert got == expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_box_table_has_one_kind_per_open_axis_set(d):
+    kinds = geo.box_arrangement(d).kinds
+    assert len(kinds) == 2 ** d
+    assert [k.RANK for k in kinds] == list(range(2 ** d))
+    assert [k.DIM for k in kinds] == sorted(k.DIM for k in kinds)
+    for k in kinds:
+        open_axes = tuple(hi - lo for lo, hi in zip(k.LO, k.HI))
+        assert k.DIM == sum(open_axes)
+        assert k.POINT == tuple(Fraction(o, 2) for o in open_axes)
+
+
+def test_decomposition_matches_sampled_signatures(rng):
+    degenerate = 0
+    for _ in range(100):
+        g = random_gridset(rng)
+        degenerate += geo.dim(g) < 2
+        assert set(geo.decompose_cells(g)) == sampled_cells(g)
+        assert len(geo.decompose_cells(g)) == len(sampled_cells(g))
+    assert degenerate > 0
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            b = random_box(rng, d=d, span=2 if d < 4 else 1)
+            assert set(geo.decompose_cells(b)) == sampled_cells(b)
+
+
+def closure_member(closure, x) -> bool:
+    """x in the relative interior of a cell's closure, written out for each
+    form: equal to a pinned bound, strictly between free ones."""
+    values = [sum(k * xi for k, xi in zip(row, x)) for row in closure.arrangement.forms]
+    return all(v == lo if lo == hi else lo < v < hi
+               for lo, hi, v in zip(closure.los, closure.his, values))
+
+
+def test_cell_contains_matches_closure_membership(rng):
+    sixths = [Fraction(k, 6) for k in range(-3, 10)]  # around [0, 1] and past it
+    polys = [random_gridset(rng, span=2) for _ in range(4)]
+    polys += [random_box(rng, d=d, span=1) for d in (1, 2, 3) for _ in range(2)]
+    for p in polys:
+        for c in geo.decompose_cells(p):
+            closure = geo.cell_closure(c)
+            for step in itertools.product(sixths, repeat=p.arrangement.d):
+                x = tuple(a + s for a, s in zip(c[1:], step))
+                assert geo.cell_contains(c, x) == closure_member(closure, x)
+
+
+def test_rebuild_tightens_once(monkeypatch):
+    calls = []
+    tighten = geo._tighten
+    monkeypatch.setattr(geo, "_tighten", lambda *a: calls.append(a) or tighten(*a))
+    hexagon = geo.grid_set(0, 2, 0, 2, 1, 3)
+    for op in (geo.negate, lambda p: geo.translate(p, (1, -2)), lambda p: geo.scale(p, 3),
+               lambda p: geo.minkowski_sum(p, p), lambda p: geo.intersect(p, TRI)):
+        calls.clear()
+        op(hexagon)
+        assert len(calls) == 1

@@ -175,3 +175,15 @@ def test_normal_forms_and_tilings_match_running_sum(rng):
         assert well_formed(tiling)
         assert rw.strip_identity(n + 1) - rw.strip_edge_identity(n + 1) == \
             parse_poly(f"z^{n + 1} - z^{n} - y3^{n}*z + y3^{n}")
+
+
+def test_piece_text_spells_the_piece_monomial():
+    for a, b in itertools.product(range(-3, 4), repeat=2):
+        mono = LaurentPoly.term({"x1": a, "x2": b}).to_text()
+        for kind in ("1", "y1o", "y2o", "y3o", "zo", "zinv"):
+            sym = "z^-1" if kind == "zinv" else kind
+            if mono == "1":
+                expected = sym
+            else:
+                expected = mono if kind == "1" else f"{mono}*{sym}"
+            assert rw.piece_text((a, b, kind)) == expected
