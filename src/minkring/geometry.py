@@ -112,6 +112,8 @@ class Arrangement:
              "HI": tuple(f if p else f + 1 for f, p in sig),
              "POINT": tuple(sum(c) / len(xs) for c in zip(*xs))})
             for rank, (dim, sig, xs) in enumerate(rows))
+        self.kind_of = {kind.SIGNATURE: kind for kind in self.kinds}
+        self.closures = tuple((kind, kind.LO, kind.HI) for kind in self.kinds)
 
     def __repr__(self) -> str:
         return f"Arrangement({self.name}, d={self.d})"
@@ -582,6 +584,8 @@ def shift_cell(c: Cell, offset) -> Cell:
     per part for products)."""
     if isinstance(c, LatticeCell):
         kind = c[0]
+        if len(c) == 3:  # the plane spelled out: phi moves every image cell here
+            return _cell(kind, (kind, c[1] + offset[0], c[2] + offset[1]))
         return _cell(kind, (kind, *map(add, c[1:], offset)))
     if isinstance(c, ProductCell):
         return ProductCell(tuple(shift_cell(q, d) for q, d in zip(c.parts, offset)))
@@ -590,47 +594,59 @@ def shift_cell(c: Cell, offset) -> Cell:
     return OpenInterval1D(c.lo + offset, c.hi + offset)
 
 
+def cell_at(ambient: Ambient, x) -> Cell:
+    """The cell of a lattice or product ambient holding the point x: the
+    anchor is the floor of the coordinates, the kind the table row of the
+    signature relative to the anchor."""
+    if isinstance(ambient, ProductSpace):
+        return ProductCell(tuple(cell_at(a, xa) for a, xa in zip(ambient.parts, x)))
+    sig = ambient.signature(x)
+    anchor = tuple(f for f, _ in sig[:ambient.d])
+    kind = ambient.kind_of[tuple((f - at, integral) for (f, integral), at
+                                 in zip(sig, ambient.values(anchor)))]
+    return _cell(kind, (kind, *anchor))
+
+
 def cell_contains(c: Cell, x) -> bool:
     """Membership in the cell: a lattice cell holds the points of its
     signature; a line cell is its point or open interval."""
     if isinstance(c, LatticeCell):
-        kind, arr = c[0], c[0].ARRANGEMENT
-        return arr.signature(x) == tuple((f + at, integral) for (f, integral), at
-                                         in zip(kind.SIGNATURE, arr.values(c[1:])))
+        return cell_at(c[0].ARRANGEMENT, x) == c
     if isinstance(c, ProductCell):
         return all(cell_contains(q, xq) for q, xq in zip(c.parts, x))
     t = Scalar.of(x)
     return t == c.at if isinstance(c, Point1D) else c.lo < t < c.hi
 
 
-def _integer_points(arr: Arrangement, los: tuple, his: tuple) -> list:
-    """The integer points x with los[k] <= f_k(x) <= his[k]: coordinate j
-    ranges over its own bounds narrowed, given the coordinates before it, by
-    the forms whose last coordinate it is, so no candidate is rejected."""
-    if any(map(gt, los, his)):
-        return []
-    points = [()]
-    for j, forms in enumerate(arr.last_on):
+def _lattice_cells(arr: Arrangement, kind: type, los: tuple, his: tuple) -> list:
+    """The cells of kind anchored at the integer points x with los[k] <= f_k(x)
+    <= his[k]: coordinate j ranges over its own bounds narrowed, given the
+    coordinates before it, by the forms whose last coordinate it is."""
+    cells = [(kind,)]
+    for lo_j, hi_j, forms in zip(los, his, arr.last_on):
         grown = []
-        for x in points:
-            lo, hi = los[j], his[j]
+        for x in cells:
+            lo, hi = lo_j, hi_j
             for k, head, c in forms:  # c * x_j lies in [los[k], his[k]] less the rest
-                rest = sum(map(mul, head, x))
+                rest = sum(map(mul, head, x[1:]))
                 a, b = los[k] - rest, his[k] - rest
                 lo, hi = (max(lo, a), min(hi, b)) if c > 0 else (max(lo, -b), min(hi, -a))
             grown += [x + (t,) for t in range(lo, hi + 1)]
-        points = grown
-    return points
+        cells = grown
+    return [_cell(kind, x) for x in cells]
 
 
 @lru_cache(maxsize=None)
 def decompose_cells(p: Polytope) -> tuple:
     """Disjoint canonical cells whose union is exactly p."""
     if isinstance(p, LatticeSet):  # each kind at each anchor where its closure is in p
-        arr = p.arrangement
-        return tuple(_cell(kind, (kind, *anchor)) for kind in arr.kinds
-                     for anchor in _integer_points(arr, tuple(map(sub, p.los, kind.LO)),
-                                                   tuple(map(sub, p.his, kind.HI))))
+        arr, p_los, p_his = p
+        cells = []
+        for kind, lo, hi in arr.closures:
+            los, his = tuple(map(sub, p_los, lo)), tuple(map(sub, p_his, hi))
+            if not any(map(gt, los, his)):
+                cells += _lattice_cells(arr, kind, los, his)
+        return tuple(cells)
     if isinstance(p, ProductPolytope):
         return tuple(ProductCell(combo) for combo in
                      itertools.product(*(decompose_cells(q) for q in p.parts)))

@@ -23,8 +23,11 @@ inverse power the signed faces of -kP above, and the factors are multiplied
 with the ring's one closed-basis product before each resulting polytope is
 decomposed into cells once.  Images are cached per shape, so the cache
 holds at most one entry per distinct shape, and a monomial's image is its
-shape's cells moved by the offset; :meth:`Presentation.phi` folds every
-term's moved cells into one map.
+shape's cells moved by the offset.  Every geometric weight is an integer
+(products of +-1 face signs), so the cached images carry ``int`` weights:
+:meth:`Presentation.phi` scales f by D, the lcm of its denominators, sums
+``int``s per cell and divides by D once, as each nonzero cell of the sum
+becomes a ``Fraction`` weight.  A kernel member builds no ``Fraction``.
 
 Kernel membership is decided semantically: map the polynomial through the
 surjection and test the canonical simple function for zero.  Declared
@@ -40,6 +43,7 @@ triangular-grid ring with its nine declared kernel generators.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,9 +143,7 @@ class Presentation:
     def generator_power(self, name: str, exp: int) -> sf.SimpleFunction:
         if name not in self.generators:
             raise KeyError(f"unknown generator {name!r} in ring {self.ring_id}")
-        if exp == 0:
-            return self.unit()
-        return self._phi_monomial(((name, exp),))
+        return self.phi(LaurentPoly.term({name: exp}))
 
     def _split(self, m):
         """(shape, offset) of a monomial: its factors on generators that are
@@ -166,9 +168,9 @@ class Presentation:
         return tuple(shape), (_offset(moves) if moves else None)
 
     def _phi_monomial(self, m) -> sf.SimpleFunction:
-        """Image of one monomial: the image of its shape, moved by its
-        offset.  A shape's image is built once, as a signed sum of closed
-        polytopes, and each polytope is decomposed into cells once."""
+        """Image of one monomial, with int weights: the image of its shape,
+        moved by its offset.  A shape's image is built once, as a signed sum
+        of closed polytopes, and each polytope is decomposed into cells once."""
         shape, offset = self._split(m)
         image = self._mono_cache.get(shape)
         if image is None:
@@ -187,17 +189,22 @@ class Presentation:
             image = self._mono_cache[shape] = sf.from_closed(self.ambient, basis)
         if offset is None:
             return image
-        return sf.SimpleFunction(self.ambient, dict(_shifted(image, offset)))
+        return sf.SimpleFunction._trusted(self.ambient, dict(_shifted(image, offset)))
 
     def phi(self, f: LaurentPoly) -> sf.SimpleFunction:
         """Image of f under the surjection, as a canonical simple function:
-        each term's shape image, moved by its offset, folded into one map."""
+        each term's shape image, moved by its offset, folded into one map of
+        ints over the common denominator of f's coefficients."""
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
         acc: dict = {}
         for m, coeff in f.terms.items():
             shape, offset = self._split(m)
+            n = coeff.numerator * (den // coeff.denominator)
             for cell, q in _shifted(self._phi_monomial(shape), offset):
-                acc[cell] = acc.get(cell, 0) + coeff * q
-        return sf.SimpleFunction(self.ambient, acc)
+                acc[cell] = acc.get(cell, 0) + n * q
+        terms = sf.canonical_terms(self.ambient, acc)
+        return sf.SimpleFunction._trusted(
+            self.ambient, {cell: Fraction(v, den) for cell, v in terms.items()})
 
     def kernel_member(self, f: LaurentPoly) -> bool:
         return sf.is_zero(self.phi(f))

@@ -102,8 +102,9 @@ class Scalar:
     def __lt__(self, other: ScalarLike) -> bool:
         return (self - Scalar.of(other)).sign() < 0
 
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
+    def __hash__(self) -> int:  # ints in lowest terms: no Fraction.__hash__
+        p, q = self.p, self.q
+        return hash((p.numerator, p.denominator, q.numerator, q.denominator))
 
     def __bool__(self) -> bool:
         return self.p != 0 or self.q != 0

@@ -20,6 +20,12 @@ On the 1-D ambient with free endpoints the cell structure is not a fixed
 partition, so functions are re-canonicalized after every operation by one
 sweep over the breakpoints: maximal open intervals of constant nonzero
 value, plus point corrections.
+
+The trusted constructor ``SimpleFunction._trusted`` neither copies nor
+re-wraps its dict.  Its invariant: every weight is nonzero, the map is
+canonical (:func:`canonical_terms`) and the new function alone owns it.
+Public results carry ``Fraction`` weights; a presentation's cached shape
+images carry ``int``s, which compare and hash like the equal Fractions.
 """
 
 from __future__ import annotations
@@ -70,16 +76,16 @@ class SimpleFunction:
     __slots__ = ("ambient", "_terms")
 
     def __init__(self, ambient: Ambient, terms: Mapping[Cell, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for cell, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[cell] = coeff
-        if isinstance(ambient, Line) and clean:
-            clean = _canonical_line_terms(clean)
         self.ambient = ambient
-        self._terms = clean
+        self._terms = canonical_terms(
+            ambient, {c: Fraction(q) for c, q in terms.items()}) if terms else {}
+
+    @classmethod
+    def _trusted(cls, ambient: Ambient, terms: dict) -> "SimpleFunction":
+        """Wrap a canonical dict of nonzero weights; the caller hands it over."""
+        fn = object.__new__(cls)
+        fn.ambient, fn._terms = ambient, terms
+        return fn
 
     @property
     def terms(self) -> Mapping[Cell, Fraction]:
@@ -136,7 +142,8 @@ def indicator(p: Polytope, mode: str = "closed") -> SimpleFunction:
     """Indicator of a polytope, either closed or of its relative interior."""
     if mode not in ("closed", "interior"):
         raise ValueError(f"unknown indicator mode {mode!r}")
-    basis = {p: 1} if mode == "closed" else dict(geo.relint_faces(p))
+    faces = ((p, 1),) if mode == "closed" else geo.relint_faces(p)
+    basis = {f: Fraction(sign) for f, sign in faces}
     return from_closed(geo.ambient_of(p), basis)
 
 
@@ -155,8 +162,8 @@ def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
         if not q:
             continue
         for cell, coeff in f.terms.items():
-            acc[cell] = acc.get(cell, Fraction(0)) + q * coeff
-    return SimpleFunction(ambient, acc)
+            acc[cell] = acc.get(cell, 0) + q * coeff
+    return SimpleFunction._trusted(ambient, canonical_terms(ambient, acc))
 
 
 def _closed_basis(f: SimpleFunction) -> dict:
@@ -180,14 +187,23 @@ def closed_product(a: Mapping, b: Mapping) -> dict:
     return {pq: w for pq, w in acc.items() if w}
 
 
+def canonical_terms(ambient: Ambient, acc: dict) -> dict:
+    """The canonical map of summed cell weights: zeros dropped, and on the
+    line one sweep into maximal runs."""
+    if isinstance(ambient, Line):
+        return _canonical_line_terms(acc)
+    return {c: q for c, q in acc.items() if q}
+
+
 def from_closed(ambient: Ambient, basis: Mapping) -> SimpleFunction:
     """The simple function of a closed-basis element: each polytope is
-    decomposed into cells once."""
+    decomposed into cells once.  The weights keep the basis's type:
+    Fractions in the ring operations, ints in a presentation's images."""
     acc: dict = {}
     for p, q in basis.items():
         for cell in geo.decompose_cells(p):
             acc[cell] = acc.get(cell, 0) + q
-    return SimpleFunction(ambient, acc)
+    return SimpleFunction._trusted(ambient, canonical_terms(ambient, acc))
 
 
 def multiply_by_indicator(f: SimpleFunction, p: Polytope) -> SimpleFunction:
@@ -205,8 +221,11 @@ def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
 
 
 def evaluate_at(f: SimpleFunction, x) -> Fraction:
-    """Exact value of the function at a point of the ambient space."""
-    return sum((q for c, q in f.terms.items() if cell_contains(c, x)), Fraction(0))
+    """Exact value of the function at a point of the ambient space: the
+    weight of the one cell holding x, or a scan of the cells on the line."""
+    if isinstance(f.ambient, Line):
+        return sum((q for c, q in f.terms.items() if cell_contains(c, x)), Fraction(0))
+    return Fraction(f.terms.get(geo.cell_at(f.ambient, x), 0))
 
 
 def is_zero(f: SimpleFunction) -> bool:
@@ -217,7 +236,4 @@ def is_zero(f: SimpleFunction) -> bool:
 def euler_char(f: SimpleFunction) -> Fraction:
     """The valuation taking value 1 on every nonempty closed convex
     polytope's indicator: sum of coeff * (-1)^dim over cells."""
-    total = Fraction(0)
-    for cell, coeff in f.terms.items():
-        total += coeff * (-1) ** cell_dim(cell)
-    return total
+    return sum((q * (-1) ** cell_dim(c) for c, q in f.terms.items()), Fraction(0))

@@ -378,3 +378,38 @@ def test_negative_point_powers_need_laurent_mode():
             ring.phi(parse_poly(text))
     ring = box_ring(1, signed=True)
     assert ring.phi(parse_poly("x^-1")) == sf.indicator(geo.box_point((-1,)))
+
+
+@pytest.mark.parametrize("ring_id", sorted(SPLIT_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_phi_with_rational_coefficients_matches_unsplit_images(ring_id, data):
+    ring = SPLIT_RINGS[ring_id]()
+    exps = st.dictionaries(st.sampled_from(ring.names()), st.integers(-2, 2), max_size=3)
+    rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    terms = data.draw(st.lists(st.tuples(exps, rationals), min_size=1, max_size=5))
+    # a term and its negation cancel in f; a declared relation times a
+    # monomial cancels in the image, cell by cell
+    terms += [(m, -c) for m, c in data.draw(st.lists(st.sampled_from(terms), max_size=2))]
+    f = LaurentPoly({})
+    for m, c in terms:
+        f = f + LaurentPoly.term(m, c)
+    if ring.declared and data.draw(st.booleans()):
+        relation = data.draw(st.sampled_from(ring.declared))
+        f = f + LaurentPoly.term(data.draw(exps), data.draw(rationals)) * relation
+    if f.is_zero():
+        expected = sf.zero(ring.ambient)
+    else:
+        expected = sf.combine(list(f.terms.values()),
+                              [_unsplit_image(ring, m) for m in f.terms])
+    image = ring.phi(f)
+    assert image == expected
+    assert all(type(q) is Fraction and q for q in image.terms.values())
+    name, exp = data.draw(st.sampled_from(ring.names())), data.draw(st.integers(-3, 3))
+    power = ring.generator_power(name, exp)
+    assert all(type(q) is Fraction and q for q in power.terms.values())
+    witness = ring.kernel_witness(f)
+    assert (witness is None) == sf.is_zero(expected)
+    if witness is not None:
+        assert type(witness[1]) is Fraction
+        assert witness[1] == sf.evaluate_at(expected, witness[0]) != 0

@@ -55,3 +55,20 @@ def test_hash_consistency():
     assert hash(Scalar.of(2)) == hash(Scalar(Fraction(2), Fraction(0)))
     seen = {Scalar.of(1), Scalar.of(1) + Scalar.sqrt2(0)}
     assert len(seen) == 1
+
+
+def test_equal_scalars_built_differently_hash_equal():
+    half = Fraction(1, 2)
+    ways = [
+        [Scalar.of(half), Scalar(Fraction(2, 4), Fraction(0)), Scalar.of(1) / 2,
+         Scalar.of(Fraction(3, 2)) - 1, Scalar.of(Fraction(1, 4)) * 2],
+        [Scalar.of(1), Scalar(1, 0), Scalar(Fraction(1), 0), Scalar.of(Fraction(5, 5)),
+         Scalar.of(3) - Scalar.of(2)],
+        [Scalar.sqrt2(), Scalar.sqrt2(3) - Scalar.sqrt2(2), Scalar(0, 1),
+         Scalar.sqrt2(Fraction(1, 2)) * 2, Scalar.of(2) * Scalar.sqrt2(half)],
+        [Scalar.of(0), Scalar(), Scalar.sqrt2(2) - Scalar.sqrt2(2), -Scalar.of(0)],
+    ]
+    for equal in ways:
+        assert all(s == equal[0] for s in equal)
+        assert len({hash(s) for s in equal}) == 1
+    assert len({s for equal in ways for s in equal}) == len(ways)

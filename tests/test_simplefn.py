@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minkring.geometry as geo
 import minkring.simplefn as sf
+from minkring.laurent import LaurentPoly, monomial
+from minkring.presentations import box_ring, coxeter_ring
+from minkring.products import product_presentation
 from minkring.scalars import Scalar
 from conftest import random_family_polytope, random_gridset, random_interval
 
@@ -258,3 +263,82 @@ def test_line_canonical_form_of_raw_cells(rng):
                 assert f.terms.get(geo.Point1D(hi), 0) != q
             assert not any(isinstance(c, geo.Point1D) and (c.at - lo).sign() > 0
                            and (hi - c.at).sign() > 0 for c in f.terms)
+
+
+# -- evaluate_at looks up the one cell of a point off the line ------------------
+
+
+EVAL_RINGS = {
+    "coxeter": coxeter_ring,
+    "box:2": lambda: box_ring(2, signed=True),
+    "box:3": lambda: box_ring(3, signed=True),
+    "box:1 x coxeter": lambda: product_presentation(
+        box_ring(1, signed=True), coxeter_ring()).combined,
+}
+
+
+def _holds(c, x) -> bool:
+    """x in the open cell c, from its closure's bounds written out per form:
+    equal to a pinned bound, strictly between free ones."""
+    if isinstance(c, geo.ProductCell):
+        return all(_holds(q, xq) for q, xq in zip(c.parts, x))
+    closure = geo.cell_closure(c)
+    values = [sum(k * xi for k, xi in zip(row, x)) for row in closure.arrangement.forms]
+    return all(v == lo if lo == hi else lo < v < hi
+               for lo, hi, v in zip(closure.los, closure.his, values))
+
+
+def _scan(f, x) -> Fraction:
+    """The value at x by testing every cell of f for x, apart from the
+    signatures and the cell tables."""
+    return sum((q for c, q in f.terms.items() if _holds(c, x)), Fraction(0))
+
+
+def _anchor(c):
+    if isinstance(c, geo.ProductCell):
+        return tuple(_anchor(q) for q in c.parts)
+    return c[1:]
+
+
+@pytest.mark.parametrize("ring_id", sorted(EVAL_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluate_at_matches_the_scan_of_every_cell(ring_id, data):
+    ring = EVAL_RINGS[ring_id]()
+    terms = data.draw(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(ring.names()), st.integers(-2, 2), max_size=3),
+        st.integers(-3, 3).filter(bool)), min_size=1, max_size=3))
+    coeffs: dict = {}
+    for exps, c in terms:
+        m = monomial(exps)
+        coeffs[m] = coeffs.get(m, 0) + c
+    f = ring.phi(LaurentPoly(coeffs))
+    cells = sorted(f.terms, key=geo.cell_sort_key)
+    sampled = data.draw(st.lists(st.sampled_from(cells), max_size=12)) if cells else []
+    parts = ring.ambient.parts if isinstance(ring.ambient, geo.ProductSpace) else None
+
+    def point(coordinate):
+        blocks = [data.draw(st.tuples(*[coordinate] * a.d)) for a in parts or [ring.ambient]]
+        return tuple(blocks) if parts else blocks[0]
+
+    points = [geo.cell_representative(c) for c in sampled]
+    points += [_anchor(c) for c in sampled]
+    points += [point(st.integers(-6, 6)) for _ in range(4)]
+    points += [point(st.integers(-36, 36).map(lambda k: Fraction(k, 6))) for _ in range(8)]
+    for x in points:
+        value = sf.evaluate_at(f, x)
+        assert type(value) is Fraction and value == _scan(f, x)
+    for c in sampled:
+        assert sf.evaluate_at(f, geo.cell_representative(c)) == f.terms[c] != 0
+
+
+def test_public_results_carry_fraction_weights(rng):
+    for _ in range(20):
+        p, q = random_family_polytope(rng), random_family_polytope(rng)
+        results = [sf.indicator(p), sf.indicator(p, "interior"), sf.unit(geo.ambient_of(p)),
+                   sf.combine([Fraction(1, 2), 3], [sf.indicator(p), sf.indicator(p)])]
+        if geo.ambient_of(p) == geo.ambient_of(q):
+            results += [sf.multiply(sf.indicator(p), sf.indicator(q, "interior")),
+                        sf.multiply_by_indicator(sf.indicator(p, "interior"), q)]
+        for f in results:
+            assert all(type(w) is Fraction and w for w in f.terms.values())
