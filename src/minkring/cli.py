@@ -330,12 +330,12 @@ def face_label(face, table) -> str:
 
 def format_point(ambient, x) -> str:
     if isinstance(ambient, geo.Arrangement):
+        if ambient.parts:  # each part reads its coordinates, the first of its forms
+            return "prod[" + "; ".join(format_point(a, tuple(x[k] for k in ks[:a.d]))
+                                       for a, ks in ambient.parts) + "]"
         return f"{ambient.name}(" + ", ".join(str(c) for c in x) + ")"
     if isinstance(ambient, geo.Line):
         return str(x)
-    if isinstance(ambient, geo.ProductSpace):
-        return "prod[" + "; ".join(format_point(a, xa)
-                                   for a, xa in zip(ambient.parts, x)) + "]"
     raise TypeError(f"not an ambient: {ambient!r}")
 
 

@@ -1,29 +1,31 @@
 """Exact geometry of the supported polytope families.
 
-Three families are modeled, each closed under Minkowski sums: 1-D closed
-intervals with endpoints in Q or Q(sqrt 2) (:class:`Interval`), lattice
-sets (:class:`LatticeSet`) and finite products of lattice sets
-(:class:`ProductPolytope`).  A lattice set is tight integer bounds
+Two families are modeled, each closed under Minkowski sums: 1-D closed
+intervals with endpoints in Q or Q(sqrt 2) (:class:`Interval`) and lattice
+sets (:class:`LatticeSet`).  A lattice set is tight integer bounds
 ``lo <= f <= hi`` on the forms of an :class:`Arrangement`: integer linear
 forms on R^d, the coordinates first, and a fine lattice (1/N)Z^d.  Boxes
 (:class:`Box`) take the d coordinates and N = 2; convex polygons of the
-triangular grid (:class:`GridSet`) take u, v and u + v and N = 3.
+triangular grid (:class:`GridSet`) take u, v and u + v and N = 3; a product
+of lattice sets (:class:`ProductPolytope`) takes the product arrangement,
+each part's forms on its own block of coordinates and the lcm of the parts'
+fine lattices, so its points are flat coordinate tuples.
 
 Every family is tight bounds ``los`` and ``his`` on fixed forms (t on the
-line; a product concatenates its parts').  Tight bounds are the support
-function on the forms (McMullen, *The polytope algebra*, 1989), so sums,
-dilations, negation, translation, intersection and containment act on the
-bounds alone, through ``rebuild(los, his)``, which tightens a lattice
-system once; a proper face pins a form to one of its bounds.
+line).  Tight bounds are the support function on the forms (McMullen, *The
+polytope algebra*, 1989), so sums, dilations, negation, translation,
+intersection and containment act on the bounds alone, through
+``rebuild(los, his)``, which tightens a lattice system once; a proper face
+pins a form to one of its bounds.
 
 Every polytope decomposes canonically into relatively open cells: points
-and open intervals on the line, lattice cells, and their products.  The
-integer level sets of an arrangement's forms cut R^d into cells, each the
-points of one signature (per form, its floor and whether it is integral)
-and each holding a fine lattice point, so an arrangement derives its table
-of cell kinds once by sampling [0, 1)^d, and a lattice set decomposes by
-translating the table.  Empty systems and non-integral lattice coordinates
-are rejected.  All values are immutable.
+and open intervals on the line, and lattice cells.  The integer level sets
+of an arrangement's forms cut R^d into cells, each the points of one
+signature (per form, its floor and whether it is integral) and each holding
+a fine lattice point, so an arrangement derives its table of cell kinds
+once by sampling [0, 1)^d, and a lattice set decomposes by translating the
+table.  Empty systems and non-integral lattice coordinates are rejected.
+All values are immutable.
 """
 
 from __future__ import annotations
@@ -66,24 +68,33 @@ class Line:
     mode: str = "rational"
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    parts: tuple
+def _rank(rows) -> int:
+    """The rank of integer row vectors, by fraction-free elimination."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return 0
+    pivot, j = rows[0], next(j for j, c in enumerate(rows[0]) if c)
+    return 1 + _rank([[pivot[j] * a - r[j] * b for a, b in zip(r, pivot)]
+                      for r in rows[1:]])
 
 
 class Arrangement:
     """Integer linear forms on R^d with coefficients -1, 0 or 1, the
-    coordinates first and any d of them independent, and the fine lattice
-    (1/N)Z^d, which holds a point of every cell.  ``name`` and ``labels``
-    (one per form, or none) spell its lattice sets, of class ``family``, and
-    cells.  It is the ambient space of its lattice sets; equality is
-    identity."""
+    coordinates first, and the fine lattice (1/N)Z^d, which holds a point of
+    every cell.  ``name`` and ``labels`` (one per form, or none) spell its
+    lattice sets, of class ``family``, and cells.  A product arrangement
+    lists its ``parts``, each an arrangement and the indices of its forms.
+    It is the ambient space of its lattice sets; equality is identity."""
 
     def __init__(self, name: str, labels: tuple, forms: tuple, fine: int,
-                 family: type, cell_names: tuple = ()):
+                 family: type, cell_names: tuple = (), parts: tuple = ()):
         self.name, self.labels, self.forms, self.fine = name, labels, forms, fine
-        self.family = family
+        self.family, self.parts = family, parts
         self.d = d = len(forms[0])
+        # per tuple of flags, one per form: the dimension where the flagged forms
+        # are constant, d less their rank
+        self.dims = {pinned: d - _rank([row for row, p in zip(forms, pinned) if p])
+                     for pinned in itertools.product((False, True), repeat=len(forms))}
         # each dependent form f_k as a relation: the forms in plus sum to those in minus
         self.relations = tuple(
             (tuple(i for i, c in enumerate(row) if c > 0),
@@ -102,7 +113,7 @@ class Arrangement:
         for index in itertools.product(range(fine), repeat=d):
             x = tuple(Fraction(i, fine) for i in reversed(index))
             samples.setdefault(self.signature(x), []).append(x)
-        rows = sorted(((max(0, d - sum(p for _, p in sig)), sig, xs)
+        rows = sorted(((self.dims[tuple(p for _, p in sig)], sig, xs)
                        for sig, xs in samples.items()), key=lambda row: row[0])
         self.kinds = tuple(type(
             cell_names[rank] if cell_names else f"{name.title()}{d}Cell{rank}",
@@ -130,7 +141,7 @@ class Arrangement:
         return tuple((f // q, f % q == 0) for f in self.values(n))
 
 
-Ambient = Union[Line, Arrangement, ProductSpace]
+Ambient = Union[Line, Arrangement]
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +261,15 @@ class Box(LatticeSet):
         return super().__new__(cls, box_arrangement(len(los)), tuple(los), tuple(his))
 
 
-_BOX_ARRANGEMENTS: dict = {}
+_ARRANGEMENTS: dict = {}  # built once per process: box d, or a tuple of parts
 
 
 def box_arrangement(d: int) -> Arrangement:
     """The d coordinates with fine lattice (1/2)Z^d, built once per d."""
-    if d not in _BOX_ARRANGEMENTS:
+    if d not in _ARRANGEMENTS:
         identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        _BOX_ARRANGEMENTS[d] = Arrangement("box", (), identity, 2, Box)
-    return _BOX_ARRANGEMENTS[d]
+        _ARRANGEMENTS[d] = Arrangement("box", (), identity, 2, Box)
+    return _ARRANGEMENTS[d]
 
 
 def box(los: Iterable[int], his: Iterable[int]) -> Box:
@@ -327,45 +338,61 @@ def unit_triangle() -> GridSet:
     return GridSet(0, 1, 0, 1, 0, 1)
 
 
-@dataclass(frozen=True)
-class ProductPolytope:
-    """Cartesian product of lattice sets on disjoint coordinate blocks
-    (lattice parts keep the product cell decomposition canonical)."""
+class ProductPolytope(LatticeSet):
+    """Cartesian product of lattice sets on disjoint coordinate blocks: a
+    lattice set of their product arrangement."""
 
-    parts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("product needs at least two parts")
-        for p in self.parts:
-            if not isinstance(p, LatticeSet):
-                raise FamilyMismatchError(
-                    f"product parts must be Box or GridSet, got {type(p).__name__}"
-                )
+    @property
+    def parts(self) -> tuple:
+        """The factors, each a lattice set of its part's arrangement."""
+        return tuple(_lattice_set(a, tuple(self.los[k] for k in ks),
+                                  tuple(self.his[k] for k in ks))
+                     for a, ks in self.arrangement.parts)
 
-    los = property(lambda self: sum((q.los for q in self.parts), ()))
-    his = property(lambda self: sum((q.his for q in self.parts), ()))
 
-    def rebuild(self, los, his) -> "ProductPolytope":
-        rest = zip(los, his)  # each part takes as many bounds as it has forms
-        return ProductPolytope(tuple(
-            q.rebuild(*zip(*itertools.islice(rest, len(q.los)))) for q in self.parts))
-
-    def forms(self, x) -> tuple:
-        return tuple(f for q, xq in zip(self.parts, x) for f in q.forms(xq))
+def product_arrangement(parts: tuple) -> Arrangement:
+    """The arrangement of products of lattice sets of the arrangements in
+    parts: every part's coordinates, then every part's dependent forms, each
+    padded onto its block of coordinates, and the lcm of the fine lattices;
+    built once per process and tuple of parts."""
+    if parts not in _ARRANGEMENTS:
+        starts = tuple(itertools.accumulate((a.d for a in parts), initial=0))
+        d = starts[-1]
+        # form k of part i, as (dependent, i, k): coordinates first, parts in order
+        order = sorted((k >= a.d, i, k)
+                       for i, a in enumerate(parts) for k in range(len(a.forms)))
+        forms = tuple((0,) * starts[i] + parts[i].forms[k] + (0,) * (d - starts[i + 1])
+                      for _, i, k in order)
+        blocks = tuple((a, tuple(n for n, (_, j, _) in enumerate(order) if j == i))
+                       for i, a in enumerate(parts))
+        _ARRANGEMENTS[parts] = Arrangement("prod", (), forms,
+                                           math.lcm(*(a.fine for a in parts)),
+                                           ProductPolytope, parts=blocks)
+    return _ARRANGEMENTS[parts]
 
 
 def product(*parts) -> ProductPolytope:
     flat = []
     for p in parts:
-        if isinstance(p, ProductPolytope):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return ProductPolytope(tuple(flat))
+        flat += p.parts if isinstance(p, ProductPolytope) else (p,)
+    if len(flat) < 2:
+        raise ValueError("product needs at least two parts")
+    for p in flat:
+        if not isinstance(p, LatticeSet):
+            raise FamilyMismatchError(
+                f"product parts must be Box or GridSet, got {type(p).__name__}")
+    arr = product_arrangement(tuple(q.arrangement for q in flat))
+    # each part's bounds, sorted into the places of its forms
+    bounds = sorted(zip(itertools.chain(*(ks for _, ks in arr.parts)),
+                        itertools.chain(*(q.los for q in flat)),
+                        itertools.chain(*(q.his for q in flat))))
+    return _lattice_set(arr, tuple(lo for _, lo, _ in bounds),
+                        tuple(hi for *_, hi in bounds))
 
 
-Polytope = Union[Interval, LatticeSet, ProductPolytope]
+Polytope = Union[Interval, LatticeSet]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +402,6 @@ Polytope = Union[Interval, LatticeSet, ProductPolytope]
 def ambient_of(p: Polytope) -> Ambient:
     if isinstance(p, LatticeSet):
         return p.arrangement
-    if isinstance(p, ProductPolytope):
-        return ProductSpace(tuple(ambient_of(q) for q in p.parts))
     return Line(p.mode)
 
 
@@ -384,16 +409,12 @@ def origin_of(ambient: Ambient) -> Polytope:
     if isinstance(ambient, Arrangement):
         zero = (0,) * len(ambient.forms)
         return _lattice_set(ambient, zero, zero)
-    if isinstance(ambient, ProductSpace):
-        return ProductPolytope(tuple(origin_of(a) for a in ambient.parts))
     return Interval(Scalar.of(0), Scalar.of(0), ambient.mode)
 
 
 def dim(p: Polytope) -> int:
     if isinstance(p, LatticeSet):
-        return max(0, p.arrangement.d - sum(map(eq, p.los, p.his)))
-    if isinstance(p, ProductPolytope):
-        return sum(dim(q) for q in p.parts)
+        return p.arrangement.dims[tuple(map(eq, p.los, p.his))]
     return 0 if p.lo == p.hi else 1
 
 
@@ -461,8 +482,6 @@ def intersect(a: Polytope, b: Polytope) -> Polytope:
 def polytope_sort_key(p: Polytope):
     if isinstance(p, LatticeSet):
         data = p.bounds()
-    elif isinstance(p, ProductPolytope):
-        data = tuple(polytope_sort_key(q) for q in p.parts)
     else:
         data = (p.lo.p, p.lo.q, p.hi.p, p.hi.q)
     return (dim(p), data)
@@ -502,8 +521,6 @@ def vertex_coords(p: Polytope):
         raise ValueError("vertex_coords needs a 0-dimensional polytope")
     if isinstance(p, LatticeSet):
         return p.los[:p.arrangement.d]
-    if isinstance(p, ProductPolytope):
-        return tuple(vertex_coords(q) for q in p.parts)
     return p.lo
 
 
@@ -526,28 +543,19 @@ class OpenInterval1D:
             raise ValueError("open interval needs lo < hi")
 
 
-@dataclass(frozen=True)
-class ProductCell:
-    parts: tuple
-
-
-Cell = Union[LatticeCell, Point1D, OpenInterval1D, ProductCell]
+Cell = Union[LatticeCell, Point1D, OpenInterval1D]
 _cell = tuple.__new__  # (kind, (kind, *anchor)): a lattice cell
 
 
 def cell_dim(c: Cell) -> int:
     if isinstance(c, LatticeCell):
         return c[0].DIM
-    if isinstance(c, ProductCell):
-        return sum(cell_dim(q) for q in c.parts)
     return 0 if isinstance(c, Point1D) else 1
 
 
 def cell_sort_key(c: Cell):
     if isinstance(c, LatticeCell):
         return (c[0].DIM, c[0].RANK) + c[1:]
-    if isinstance(c, ProductCell):
-        return (cell_dim(c), 9, tuple(cell_sort_key(q) for q in c.parts))
     if isinstance(c, Point1D):
         return (0, 0, c.at.p, c.at.q)
     return (1, 1, c.lo.p, c.lo.q, c.hi.p, c.hi.q)
@@ -562,8 +570,6 @@ def cell_closure(c: Cell, line_mode: str | None = None) -> Polytope:
         at = kind.ARRANGEMENT.values(c[1:])
         return _lattice_set(kind.ARRANGEMENT, tuple(map(add, at, kind.LO)),
                             tuple(map(add, at, kind.HI)))
-    if isinstance(c, ProductCell):
-        return ProductPolytope(tuple(cell_closure(q) for q in c.parts))
     if isinstance(c, Point1D):
         return interval(c.at, c.at, line_mode)
     return interval(c.lo, c.hi, line_mode)
@@ -573,33 +579,26 @@ def cell_representative(c: Cell):
     """One exact point in the relative interior of the cell."""
     if isinstance(c, LatticeCell):
         return tuple(map(add, c[1:], c[0].POINT))
-    if isinstance(c, ProductCell):
-        return tuple(cell_representative(q) for q in c.parts)
     return c.at if isinstance(c, Point1D) else (c.lo + c.hi) / 2
 
 
 def shift_cell(c: Cell, offset) -> Cell:
     """The cell moved by offset, given in the coordinates of
-    :func:`translate` (Scalar on the line, integer tuples elsewhere, one
-    per part for products)."""
+    :func:`translate` (Scalar on the line, integer tuples elsewhere)."""
     if isinstance(c, LatticeCell):
         kind = c[0]
         if len(c) == 3:  # the plane spelled out: phi moves every image cell here
             return _cell(kind, (kind, c[1] + offset[0], c[2] + offset[1]))
         return _cell(kind, (kind, *map(add, c[1:], offset)))
-    if isinstance(c, ProductCell):
-        return ProductCell(tuple(shift_cell(q, d) for q, d in zip(c.parts, offset)))
     if isinstance(c, Point1D):
         return Point1D(c.at + offset)
     return OpenInterval1D(c.lo + offset, c.hi + offset)
 
 
 def cell_at(ambient: Ambient, x) -> Cell:
-    """The cell of a lattice or product ambient holding the point x: the
-    anchor is the floor of the coordinates, the kind the table row of the
-    signature relative to the anchor."""
-    if isinstance(ambient, ProductSpace):
-        return ProductCell(tuple(cell_at(a, xa) for a, xa in zip(ambient.parts, x)))
+    """The cell of an arrangement holding the point x: the anchor is the
+    floor of the coordinates, the kind the table row of the signature
+    relative to the anchor."""
     sig = ambient.signature(x)
     anchor = tuple(f for f, _ in sig[:ambient.d])
     kind = ambient.kind_of[tuple((f - at, integral) for (f, integral), at
@@ -612,8 +611,6 @@ def cell_contains(c: Cell, x) -> bool:
     signature; a line cell is its point or open interval."""
     if isinstance(c, LatticeCell):
         return cell_at(c[0].ARRANGEMENT, x) == c
-    if isinstance(c, ProductCell):
-        return all(cell_contains(q, xq) for q, xq in zip(c.parts, x))
     t = Scalar.of(x)
     return t == c.at if isinstance(c, Point1D) else c.lo < t < c.hi
 
@@ -647,9 +644,6 @@ def decompose_cells(p: Polytope) -> tuple:
             if not any(map(gt, los, his)):
                 cells += _lattice_cells(arr, kind, los, his)
         return tuple(cells)
-    if isinstance(p, ProductPolytope):
-        return tuple(ProductCell(combo) for combo in
-                     itertools.product(*(decompose_cells(q) for q in p.parts)))
     if p.lo == p.hi:
         return (Point1D(p.lo),)
     return (Point1D(p.lo), OpenInterval1D(p.lo, p.hi), Point1D(p.hi))

@@ -67,7 +67,7 @@ def covers_vertices(c: CoverSpec) -> bool:
 
 
 def _negated(x):
-    return tuple(_negated(c) for c in x) if isinstance(x, tuple) else -x
+    return tuple(-c for c in x) if isinstance(x, tuple) else -x
 
 
 def _anchor_offset(p: Polytope):

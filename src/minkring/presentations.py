@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import geometry as geo
@@ -74,6 +75,8 @@ class Generator:
 def polytope_text(p: Polytope) -> str:
     if isinstance(p, geo.LatticeSet):
         a = p.arrangement
+        if a.parts:
+            return "prod[" + "; ".join(polytope_text(q) for q in p.parts) + "]"
         if a.labels:
             body = ", ".join(f"{label}:{lo}..{hi}"
                              for label, lo, hi in zip(a.labels, p.los, p.his))
@@ -84,18 +87,16 @@ def polytope_text(p: Polytope) -> str:
         if p.lo == p.hi:
             return f"point[{p.lo}]"
         return f"interval[{p.lo}, {p.hi}]"
-    if isinstance(p, geo.ProductPolytope):
-        return "prod[" + "; ".join(polytope_text(q) for q in p.parts) + "]"
     raise TypeError(f"not a polytope: {p!r}")
 
 
 def _offset(moves):
-    """The sum of exp * point over (exp, point) pairs, coordinate by
-    coordinate."""
+    """The sum of exp * point over (exp, point) pairs: a scalar on the
+    line, a coordinate tuple elsewhere."""
     exps, points = zip(*moves)
     if isinstance(points[0], tuple):
-        return tuple(_offset(zip(exps, coords)) for coords in zip(*points))
-    return sum(e * c for e, c in zip(exps, points))
+        return tuple(sum(map(mul, exps, c)) for c in zip(*points))
+    return sum(map(mul, exps, points))
 
 
 def _shifted(image: sf.SimpleFunction, offset):

@@ -63,8 +63,18 @@ def naive_sum_member(a: geo.Polytope, b: geo.Polytope, x) -> bool:
         return (hi - lo).sign() >= 0
     if isinstance(a, geo.ProductPolytope):
         return all(naive_sum_member(pa, pb, xa)
-                   for pa, pb, xa in zip(a.parts, b.parts, x))
+                   for pa, pb, xa in zip(a.parts, b.parts, split_point(a, x)))
     raise TypeError(type(a).__name__)
+
+
+def split_point(p: geo.ProductPolytope, x) -> tuple:
+    """A flat point of a product as one point per part: the parts' blocks of
+    coordinates follow each other in the order of the parts."""
+    blocks, start = [], 0
+    for q in p.parts:
+        blocks.append(tuple(x[start:start + q.arrangement.d]))
+        start += q.arrangement.d
+    return tuple(blocks)
 
 
 def bounding_grid_cells(u_lo, u_hi, v_lo, v_hi):

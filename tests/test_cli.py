@@ -120,6 +120,9 @@ GOLDEN_CASES = [
      ["classify", "--ring", "principal:self-similar:laurent"]),
     ("classify_self_similar_text.txt",
      ["classify", "--ring", "principal:self-similar:laurent", "--format", "text"]),
+    ("member_product_open_prism.txt",
+     ["member", "--ring", "product:d1,d2",
+      "(y - 1 - x)*(z_r - y1_r - y2_r - y3_r + 1 + x1_r + x2_r)"]),
 ]
 
 

@@ -7,7 +7,7 @@ import minkring.geometry as geo
 from minkring.scalars import Scalar
 from conftest import (bounding_grid_cells, naive_grid_member, naive_sum_member,
                       random_box, random_family_polytope, random_gridset,
-                      random_interval, sampled_cells)
+                      random_interval, sampled_cells, split_point)
 
 OA_EDGE = geo.grid_set(0, 1, 0, 0, 0, 1)
 OB_EDGE = geo.grid_set(0, 0, 0, 1, 0, 1)
@@ -194,7 +194,7 @@ def test_lattice_families_reject_non_integral_coordinates():
     with pytest.raises(ValueError):
         geo.translate(TRI, (Fraction(3, 2), 0))
     with pytest.raises(ValueError):
-        geo.translate(geo.product(TRI, segment), ((0, 0), (Fraction(1, 3),)))
+        geo.translate(geo.product(TRI, segment), (0, 0, Fraction(1, 3)))
     with pytest.raises(ValueError):
         geo.box((0.5,), (1.7,))
     with pytest.raises(ValueError):
@@ -213,7 +213,7 @@ def test_lattice_families_reject_non_integral_coordinates():
 # grid polygons, and products of boxes and grid polygons
 
 FAMILIES = ["rational", "sqrt2", "box1", "box2", "box3", "box4", "grid",
-            "grid*box1", "box1*grid", "box2*grid"]
+            "grid*box1", "box1*grid", "box2*grid", "grid*grid"]
 
 
 def draw(rng, family: str, small: bool = False) -> geo.Polytope:
@@ -234,7 +234,7 @@ def member(p: geo.Polytope, x) -> bool:
     if isinstance(p, geo.GridSet):
         return naive_grid_member(p.bounds(), x)
     if isinstance(p, geo.ProductPolytope):
-        return all(member(q, xq) for q, xq in zip(p.parts, x))
+        return all(member(q, xq) for q, xq in zip(p.parts, split_point(p, x)))
     return naive_sum_member(p, geo.origin_of(geo.ambient_of(p)), x)
 
 
@@ -263,7 +263,7 @@ def samples(polys) -> list:
         return list(itertools.product(*(line_samples(ends) for ends in zip(
             *(q.los for q in polys), *(q.his for q in polys)))))
     per_part = [samples([q.parts[i] for q in polys]) for i in range(len(p.parts))]
-    return list(itertools.product(*per_part))
+    return [sum(xs, ()) for xs in itertools.product(*per_part)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -331,7 +331,7 @@ def offset_for(rng, p: geo.Polytope):
     if isinstance(p, geo.Interval):
         return random_interval(rng, p.mode).lo
     if isinstance(p, geo.ProductPolytope):
-        return tuple(offset_for(rng, q) for q in p.parts)
+        return sum((offset_for(rng, q) for q in p.parts), ())
     d = len(p.los) if isinstance(p, geo.Box) else 2
     return tuple(rng.randint(-4, 4) for _ in range(d))
 
@@ -401,6 +401,24 @@ def test_decomposition_matches_sampled_signatures(rng):
         for _ in range(10):
             b = random_box(rng, d=d, span=2 if d < 4 else 1)
             assert set(geo.decompose_cells(b)) == sampled_cells(b)
+
+
+@pytest.mark.parametrize("family", ["grid*box1", "box1*grid", "box2*grid", "grid*grid"])
+def test_product_cells_are_the_products_of_the_parts_cells(rng, family):
+    for _ in range(4):
+        p = draw(rng, family)
+        cells = geo.decompose_cells(p)
+        assert set(cells) == sampled_cells(p) and len(set(cells)) == len(cells)
+        # each cell splits into one cell per part at its representative
+        split = {c: tuple(geo.cell_at(q.arrangement, xq) for q, xq in zip(
+            p.parts, split_point(p, geo.cell_representative(c)))) for c in cells}
+        assert len(set(split.values())) == len(cells)
+        assert set(split.values()) == set(itertools.product(
+            *(geo.decompose_cells(q) for q in p.parts)))
+        for c, parts in split.items():
+            assert geo.cell_dim(c) == sum(geo.cell_dim(q) for q in parts)
+        for f in geo.faces(p):
+            assert geo.dim(f) == sum(geo.dim(q) for q in f.parts)
 
 
 def closure_member(closure, x) -> bool:

@@ -280,8 +280,6 @@ EVAL_RINGS = {
 def _holds(c, x) -> bool:
     """x in the open cell c, from its closure's bounds written out per form:
     equal to a pinned bound, strictly between free ones."""
-    if isinstance(c, geo.ProductCell):
-        return all(_holds(q, xq) for q, xq in zip(c.parts, x))
     closure = geo.cell_closure(c)
     values = [sum(k * xi for k, xi in zip(row, x)) for row in closure.arrangement.forms]
     return all(v == lo if lo == hi else lo < v < hi
@@ -295,8 +293,6 @@ def _scan(f, x) -> Fraction:
 
 
 def _anchor(c):
-    if isinstance(c, geo.ProductCell):
-        return tuple(_anchor(q) for q in c.parts)
     return c[1:]
 
 
@@ -315,11 +311,9 @@ def test_evaluate_at_matches_the_scan_of_every_cell(ring_id, data):
     f = ring.phi(LaurentPoly(coeffs))
     cells = sorted(f.terms, key=geo.cell_sort_key)
     sampled = data.draw(st.lists(st.sampled_from(cells), max_size=12)) if cells else []
-    parts = ring.ambient.parts if isinstance(ring.ambient, geo.ProductSpace) else None
 
     def point(coordinate):
-        blocks = [data.draw(st.tuples(*[coordinate] * a.d)) for a in parts or [ring.ambient]]
-        return tuple(blocks) if parts else blocks[0]
+        return data.draw(st.tuples(*[coordinate] * ring.ambient.d))
 
     points = [geo.cell_representative(c) for c in sampled]
     points += [_anchor(c) for c in sampled]
