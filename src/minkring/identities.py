@@ -12,17 +12,23 @@ identities.
 Kernel checks embed the polytope with one vertex anchored at the origin,
 since kernels of translated polytopes differ; the anchor is reported next
 to every result.
+
+Every weight in these products is an integer, a product of +-1 face signs,
+so products stay on ``int`` weights: :func:`id_holds` multiplies simple
+functions with int cell weights, and :func:`id_context` expands the
+Laurent product over ints and makes each coefficient a ``Fraction`` once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from . import geometry as geo
 from . import simplefn as sf
 from .geometry import Polytope
-from .laurent import LaurentPoly
+from .laurent import UNIT_MONOMIAL, LaurentPoly, mono_mul
 from .presentations import box_ring, coxeter_ring, interval_ring
 from .rewriting import first_normal_form
 
@@ -86,32 +92,44 @@ def anchored(c: CoverSpec) -> tuple:
 
 def id_holds(c: CoverSpec) -> bool:
     """Semantic truth of the identity: the expanded product of the
-    indicator differences is the zero function."""
+    indicator differences is the zero function.  Each factor is one round
+    trip from cells to the closed basis and back, on int weights."""
     p = c.polytope
-    fn = sf.unit(geo.ambient_of(p))
+    ambient = geo.ambient_of(p)
+    fn = sf.from_closed(ambient, {geo.origin_of(ambient): 1})
     for face in c.faces:
         diff = {p: 1}
         diff[face] = diff.get(face, 0) - 1
-        fn = sf.from_closed(fn.ambient, sf.closed_product(sf._closed_basis(fn), diff))
+        fn = sf.from_closed(ambient, sf.closed_product(sf._closed_basis(fn), diff))
         if sf.is_zero(fn):
             return True
     return sf.is_zero(fn)
 
 
-def _face_poly(face: Polytope) -> LaurentPoly:
-    """Laurent preimage of a face in the family presentation (anchored
-    coordinates assumed)."""
-    if isinstance(face, geo.GridSet):
-        return first_normal_form(face)[1]
-    if isinstance(face, geo.Box):
-        d = len(face.los)
-        out = LaurentPoly.const(1)
-        for i, (a, b) in enumerate(zip(face.los, face.his)):
-            xn = "x" if d == 1 else f"x{i + 1}"
-            yn = "y" if d == 1 else f"y{i + 1}"
-            out = out * LaurentPoly.term({xn: a, yn: b - a})
-        return out
-    raise TypeError(f"no face polynomial for {type(face).__name__}")
+def _box_poly(face: geo.Box) -> LaurentPoly:
+    """Laurent preimage of a box face in the box ring (anchored coordinates
+    assumed): the one monomial of its low corner and its side lengths."""
+    d = len(face.los)
+    exps = {}
+    for i, (a, b) in enumerate(zip(face.los, face.his)):
+        exps["x" if d == 1 else f"x{i + 1}"] = a
+        exps["y" if d == 1 else f"y{i + 1}"] = b - a
+    return LaurentPoly.term(exps)
+
+
+def _expand(factors) -> LaurentPoly:
+    """The product of polynomials with integer coefficients, as every face
+    polynomial has, expanded in one map of ints and wrapped once."""
+    acc = {UNIT_MONOMIAL: 1}
+    for f in factors:
+        ints = [(n, c.numerator) for n, c in f.terms.items()]
+        step: dict = {}
+        for m, a in acc.items():
+            for n, b in ints:
+                mn = mono_mul(m, n)
+                step[mn] = step.get(mn, 0) + a * b
+        acc = {m: v for m, v in step.items() if v}
+    return LaurentPoly._trusted({m: Fraction(v) for m, v in acc.items()})
 
 
 def id_context(c: CoverSpec) -> tuple:
@@ -123,29 +141,25 @@ def id_context(c: CoverSpec) -> tuple:
     """
     ac, off = anchored(c)
     p = ac.polytope
-    if isinstance(p, geo.LatticeSet):
-        pres = coxeter_ring() if isinstance(p, geo.GridSet) else box_ring(
-            len(p.los), signed=True)
-        p_poly = _face_poly(p)
-        face_polys = [_face_poly(f) for f in ac.faces]
-    elif isinstance(p, geo.Interval):
+    if isinstance(p, geo.Interval):
         if p.lo == p.hi:
-            sym = {p: LaurentPoly.var("x")}
+            pres, sym = None, {p: LaurentPoly.var("x")}
         else:
+            pres = interval_ring(p.lo, p.hi, mode="laurent", naming="xyz")
             sym = {p: LaurentPoly.var("z"),
                    geo.Interval(p.lo, p.lo, p.mode): LaurentPoly.var("x"),
                    geo.Interval(p.hi, p.hi, p.mode): LaurentPoly.var("y")}
-            pres = interval_ring(p.lo, p.hi, mode="laurent", naming="xyz")
-        p_poly = sym[p]
-        face_polys = [sym[f] for f in ac.faces]
-        if p.lo == p.hi:
-            pres = None
+        poly = sym.__getitem__
+    elif isinstance(p, geo.GridSet):
+        pres, poly = coxeter_ring(), lambda f: first_normal_form(f)[1]
+    elif isinstance(p, geo.Box):
+        pres, poly = box_ring(len(p.los), signed=True), _box_poly
     else:
-        raise TypeError(f"id_context does not support {type(p).__name__}")
-    product = LaurentPoly.const(1)
-    for fp in face_polys:
-        product = product * (p_poly - fp)
-    return pres, product, off
+        raise ValueError(f"id_context does not support the {type(p).__name__} "
+                         "family: identities expand over grid polygons, boxes "
+                         "and intervals")
+    p_poly = poly(p)
+    return pres, _expand(p_poly - poly(f) for f in ac.faces), off
 
 
 def id_expand(c: CoverSpec) -> LaurentPoly:

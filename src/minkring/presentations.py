@@ -27,7 +27,8 @@ shape's cells moved by the offset.  Every geometric weight is an integer
 (products of +-1 face signs), so the cached images carry ``int`` weights:
 :meth:`Presentation.phi` scales f by D, the lcm of its denominators, sums
 ``int``s per cell and divides by D once, as each nonzero cell of the sum
-becomes a ``Fraction`` weight.  A kernel member builds no ``Fraction``.
+becomes a ``Fraction`` weight.  A kernel member builds no ``Fraction``, and
+a witness builds one, for the reported cell.
 
 Kernel membership is decided semantically: map the polynomial through the
 surjection and test the canonical simple function for zero.  Declared
@@ -192,10 +193,10 @@ class Presentation:
             return image
         return sf.SimpleFunction._trusted(self.ambient, dict(_shifted(image, offset)))
 
-    def phi(self, f: LaurentPoly) -> sf.SimpleFunction:
-        """Image of f under the surjection, as a canonical simple function:
-        each term's shape image, moved by its offset, folded into one map of
-        ints over the common denominator of f's coefficients."""
+    def _image_ints(self, f: LaurentPoly) -> tuple:
+        """(canonical map of int cell weights, D): the image of D * f, where
+        D is the lcm of f's denominators.  Each term's shape image, moved by
+        its offset, is folded into one map."""
         den = math.lcm(*(c.denominator for c in f.terms.values()))
         acc: dict = {}
         for m, coeff in f.terms.items():
@@ -203,7 +204,12 @@ class Presentation:
             n = coeff.numerator * (den // coeff.denominator)
             for cell, q in _shifted(self._phi_monomial(shape), offset):
                 acc[cell] = acc.get(cell, 0) + n * q
-        terms = sf.canonical_terms(self.ambient, acc)
+        return sf.canonical_terms(self.ambient, acc), den
+
+    def phi(self, f: LaurentPoly) -> sf.SimpleFunction:
+        """Image of f under the surjection, as a canonical simple function:
+        the int fold of :meth:`_image_ints` divided by D once per cell."""
+        terms, den = self._image_ints(f)
         return sf.SimpleFunction._trusted(
             self.ambient, {cell: Fraction(v, den) for cell, v in terms.items()})
 
@@ -212,12 +218,12 @@ class Presentation:
 
     def kernel_witness(self, f: LaurentPoly):
         """None when f is in the kernel, else (point, value) with the image
-        nonzero at the point."""
-        image = self.phi(f)
-        if sf.is_zero(image):
+        nonzero at the point; only the reported value becomes a Fraction."""
+        terms, den = self._image_ints(f)
+        if not terms:
             return None
-        cell = min(image.terms, key=geo.cell_sort_key)
-        return geo.cell_representative(cell), image.terms[cell]
+        cell = min(terms, key=geo.cell_sort_key)
+        return geo.cell_representative(cell), Fraction(terms[cell], den)
 
     # -- description ---------------------------------------------------------
 

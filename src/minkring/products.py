@@ -75,10 +75,12 @@ def product_presentation(pl: Presentation, pr: Presentation) -> ProductPresentat
 
 def psi_split(f: LaurentPoly, left_names: Iterable[str],
               right_names: Iterable[str]) -> Tuple[LaurentPoly, LaurentPoly]:
-    """(f with the right block set to 1, f with the left block set to 1)."""
-    ones_r = {n: Fraction(1) for n in right_names}
-    ones_l = {n: Fraction(1) for n in left_names}
-    return f.substitute(ones_r), f.substitute(ones_l)
+    """(f with the right block set to 1, f with the left block set to 1):
+    each side drops the other block's names from every monomial in one
+    fold."""
+    return tuple(fold_terms((tuple(p for p in m if p[0] not in drop), c)
+                            for m, c in f.terms.items())
+                 for drop in (set(right_names), set(left_names)))
 
 
 def _monomials_up_to(names: Sequence[str], bound: int):

@@ -25,7 +25,8 @@ The trusted constructor ``SimpleFunction._trusted`` neither copies nor
 re-wraps its dict.  Its invariant: every weight is nonzero, the map is
 canonical (:func:`canonical_terms`) and the new function alone owns it.
 Public results carry ``Fraction`` weights; a presentation's cached shape
-images carry ``int``s, which compare and hash like the equal Fractions.
+images and the face-cover products of ``identities`` carry ``int``s, which
+compare and hash like the equal Fractions.
 """
 
 from __future__ import annotations
@@ -167,12 +168,13 @@ def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
 
 
 def _closed_basis(f: SimpleFunction) -> dict:
-    """Rewrite in the basis of closed convex polytopes (cell closures)."""
+    """Rewrite in the basis of closed convex polytopes (cell closures).
+    The weights keep f's number type: ints stay ints, Fractions Fractions."""
     line_mode = f.ambient.mode if isinstance(f.ambient, Line) else None
     acc: dict = {}
     for cell, coeff in f.terms.items():
         for face, sign in geo.relint_faces(cell_closure(cell, line_mode)):
-            acc[face] = acc.get(face, Fraction(0)) + coeff * sign
+            acc[face] = acc.get(face, 0) + coeff * sign
     return {p: q for p, q in acc.items() if q}
 
 

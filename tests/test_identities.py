@@ -1,13 +1,17 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 import minkring.geometry as geo
 import minkring.identities as ids
+import minkring.simplefn as sf
 from minkring.cli import parse_poly
 from minkring.laurent import LaurentPoly
+from minkring.presentations import box_ring, coxeter_ring
 from minkring.scalars import Scalar
+from conftest import random_gridset, well_formed
 
 TRI = geo.unit_triangle()
 O = geo.grid_point_set(0, 0)
@@ -154,3 +158,75 @@ def test_id_holds_matches_vertex_law_and_kernel_oracle():
         pres, poly, _ = ids.id_context(spec)
         if pres is not None:
             assert pres.kernel_member(poly) == holds
+
+
+def _fraction_holds(c):
+    """The identity product on Fraction weights: from the Fraction unit,
+    one round trip through the closed basis per face, no early exit."""
+    p = c.polytope
+    fn = sf.unit(geo.ambient_of(p))
+    for face in c.faces:
+        diff = {p: 1}
+        diff[face] = diff.get(face, 0) - 1
+        fn = sf.from_closed(fn.ambient, sf.closed_product(sf._closed_basis(fn), diff))
+        assert all(type(w) is Fraction for w in fn.terms.values())
+    return sf.is_zero(fn)
+
+
+def _check_both_orders(spec):
+    """id_holds in forward and reversed face order against the Fraction
+    oracle and the vertex law; the expansion is the product of the
+    one-face expansions and keeps the trusted invariant."""
+    expected = _fraction_holds(spec)
+    assert expected == ids.covers_vertices(spec)
+    flipped = ids.cover(spec.polytope, spec.faces[::-1])
+    assert ids.id_holds(spec) == ids.id_holds(flipped) == expected
+    product = ids.id_expand(spec)
+    assert well_formed(product)
+    assert product == ids.id_expand(flipped)
+    factors = LaurentPoly.const(1)
+    for f in spec.faces:
+        factors = factors * ids.id_expand(ids.cover(spec.polytope, [f]))
+    assert product == factors
+
+
+def test_id_holds_matches_fraction_oracle_on_every_cover():
+    for p in (TRI, geo.box((0, 0), (1, 1))):
+        for spec in _all_covers(p):
+            _check_both_orders(spec)
+
+
+def test_id_holds_matches_fraction_oracle_on_lines_and_points():
+    for p in (geo.interval(-1, Scalar.sqrt2()), geo.interval(Scalar.sqrt2(), 2),
+              geo.line_point(2), geo.line_point(Scalar.sqrt2())):
+        for spec in _all_covers(p):
+            _check_both_orders(spec)
+
+
+def test_id_holds_matches_fraction_oracle_on_random_faces(rng):
+    cube = geo.box((0, 0, 0), (1, 1, 1))
+    polytopes = [random_gridset(rng) for _ in range(8)] + [cube] * 4
+    for p in polytopes:
+        pool = geo.faces(p)
+        for _ in range(3):
+            faces = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            _check_both_orders(ids.cover(p, faces))
+
+
+def test_closed_basis_keeps_the_weight_type():
+    square = geo.box((0, 0), (1, 1))
+    ints = sf.from_closed(square.arrangement, {square: 1, geo.box_point((0, 0)): -1})
+    fractions = sf.indicator(square) - sf.indicator(geo.box_point((0, 0)))
+    assert ints == fractions
+    assert all(type(w) is int for w in sf._closed_basis(ints).values())
+    assert all(type(w) is Fraction for w in sf._closed_basis(fractions).values())
+    assert sf._closed_basis(ints) == sf._closed_basis(fractions)
+
+
+def test_id_context_rejects_products_before_building_a_ring():
+    prism = geo.product(TRI, geo.box((0,), (1,)))
+    spec = ids.cover(prism, [f for f in geo.faces(prism) if geo.dim(f) == 0])
+    before = box_ring.cache_info().misses, coxeter_ring.cache_info().misses
+    with pytest.raises(ValueError, match="ProductPolytope family"):
+        ids.id_context(spec)
+    assert (box_ring.cache_info().misses, coxeter_ring.cache_info().misses) == before

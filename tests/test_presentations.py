@@ -413,3 +413,5 @@ def test_phi_with_rational_coefficients_matches_unsplit_images(ring_id, data):
     if witness is not None:
         assert type(witness[1]) is Fraction
         assert witness[1] == sf.evaluate_at(expected, witness[0]) != 0
+        first = min(image.terms, key=geo.cell_sort_key)
+        assert witness == (geo.cell_representative(first), image.terms[first])

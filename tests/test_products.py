@@ -9,6 +9,7 @@ from minkring.presentations import box_ring, coxeter_ring, point_ring
 from minkring.products import (product_presentation, psi_split,
                                random_ideal_element, rename_poly,
                                verify_tensor_identity)
+from conftest import well_formed
 
 
 def d1():
@@ -84,6 +85,19 @@ def test_psi_split_examples():
     assert pp.right.kernel_member(fr)
     ones = {n: 1 for n in pp.combined.names()}
     assert sample.substitute(ones).is_zero()
+
+
+def test_psi_split_matches_substituting_ones(rng):
+    pp = product_presentation(coxeter_ring(), coxeter_ring())
+    ones_l = {n: 1 for n in pp.left_names}
+    ones_r = {n: 1 for n in pp.right_names}
+    for _ in range(30):
+        f = random_ideal_element(pp, rng) + LaurentPoly.term(
+            {n: rng.randint(-2, 2) for n in rng.sample(pp.combined.names(), 3)},
+            rng.randint(-3, 3))
+        fl, fr = psi_split(f, pp.left_names, pp.right_names)
+        assert fl == f.substitute(ones_r) and fr == f.substitute(ones_l)
+        assert well_formed(fl) and well_formed(fr)
 
 
 def test_tensor_identity():
