@@ -502,6 +502,7 @@ def faces(p: Polytope) -> tuple:
     return tuple(sorted(out, key=polytope_sort_key))
 
 
+@lru_cache(maxsize=None)
 def relint_faces(p: Polytope) -> tuple:
     """(face, sign) pairs of inclusion-exclusion over the face lattice:
 

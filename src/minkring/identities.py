@@ -13,22 +13,22 @@ Kernel checks embed the polytope with one vertex anchored at the origin,
 since kernels of translated polytopes differ; the anchor is reported next
 to every result.
 
-Every weight in these products is an integer, a product of +-1 face signs,
-so products stay on ``int`` weights: :func:`id_holds` multiplies simple
-functions with int cell weights, and :func:`id_context` expands the
-Laurent product over ints and makes each coefficient a ``Fraction`` once.
+Every weight in these products is an integer, a product of +-1 face signs:
+:func:`id_holds` multiplies simple functions with int cell weights, and the
+Laurent product of :func:`id_context` keeps int coefficients by the
+coefficient rule of :mod:`minkring.laurent`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import geometry as geo
 from . import simplefn as sf
 from .geometry import Polytope
-from .laurent import UNIT_MONOMIAL, LaurentPoly, mono_mul
+from .laurent import LaurentPoly
 from .presentations import box_ring, coxeter_ring, interval_ring
 from .rewriting import first_normal_form
 
@@ -117,21 +117,6 @@ def _box_poly(face: geo.Box) -> LaurentPoly:
     return LaurentPoly.term(exps)
 
 
-def _expand(factors) -> LaurentPoly:
-    """The product of polynomials with integer coefficients, as every face
-    polynomial has, expanded in one map of ints and wrapped once."""
-    acc = {UNIT_MONOMIAL: 1}
-    for f in factors:
-        ints = [(n, c.numerator) for n, c in f.terms.items()]
-        step: dict = {}
-        for m, a in acc.items():
-            for n, b in ints:
-                mn = mono_mul(m, n)
-                step[mn] = step.get(mn, 0) + a * b
-        acc = {m: v for m, v in step.items() if v}
-    return LaurentPoly._trusted({m: Fraction(v) for m, v in acc.items()})
-
-
 def id_context(c: CoverSpec) -> tuple:
     """(presentation, expanded product, anchor offset) for an identity.
 
@@ -159,7 +144,8 @@ def id_context(c: CoverSpec) -> tuple:
                          "family: identities expand over grid polygons, boxes "
                          "and intervals")
     p_poly = poly(p)
-    return pres, _expand(p_poly - poly(f) for f in ac.faces), off
+    return pres, math.prod((p_poly - poly(f) for f in ac.faces),
+                           start=LaurentPoly.const(1)), off
 
 
 def id_expand(c: CoverSpec) -> LaurentPoly:

@@ -1,8 +1,9 @@
 """Sparse multivariate Laurent polynomials over the rationals.
 
 A monomial maps generator names to nonzero integer exponents (negative
-exponents allowed); a polynomial maps monomials to nonzero ``Fraction``
-coefficients.  The zero polynomial has no terms.  Results are always
+exponents allowed); a polynomial maps monomials to nonzero coefficients
+under one coefficient rule: an ``int`` when integral, else a ``Fraction``
+with denominator > 1.  The zero polynomial has no terms.  Results are always
 canonical: no zero exponents, no zero coefficients, and a deterministic
 term order for printing (total degree first, then exponent vectors with the
 alphabetically last name most significant, largest first).
@@ -10,10 +11,11 @@ alphabetically last name most significant, largest first).
 Arithmetic builds each result in one dict: :func:`fold_terms` adds terms
 into it, deleting a monomial whose coefficient sums to zero, and wraps it
 with the trusted constructor ``LaurentPoly._trusted``, which neither copies
-the dict nor re-wraps its values.  Its invariant: every value is a nonzero
-``Fraction``, and the new polynomial alone owns the dict.  The public
-constructor validates its input.  :func:`poly_sum` folds many polynomials
-into one dict, so assembling n terms costs O(n), not O(n^2).
+the dict nor re-wraps its values.  Its invariant: every value keeps the
+coefficient rule, and the new polynomial alone owns the dict.  The public
+constructor and :func:`fold_terms`, which every coefficient passes, apply
+the rule.  :func:`poly_sum` folds many polynomials into one dict, so
+assembling n terms costs O(n), not O(n^2).
 """
 
 from __future__ import annotations
@@ -75,13 +77,13 @@ class LaurentPoly:
             for m, c in terms.items():
                 c = Fraction(c)
                 if c:
-                    clean[m] = c
+                    clean[m] = c.numerator if c.denominator == 1 else c
         self._terms = clean
 
     @classmethod
     def _trusted(cls, terms: dict) -> "LaurentPoly":
-        """Wrap a dict of nonzero Fraction coefficients as it is: no copy,
-        no re-wrapping.  The caller hands the dict over."""
+        """Wrap a dict of coefficients that keep the coefficient rule as it
+        is: no copy, no re-wrapping.  The caller hands the dict over."""
         poly = object.__new__(cls)
         poly._terms = terms
         return poly
@@ -94,20 +96,20 @@ class LaurentPoly:
 
     @staticmethod
     def const(value: RationalLike) -> "LaurentPoly":
-        return LaurentPoly({UNIT_MONOMIAL: Fraction(value)})
+        return LaurentPoly({UNIT_MONOMIAL: value})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
-        return LaurentPoly({monomial({name: exp}): Fraction(1)})
+        return LaurentPoly({monomial({name: exp}): 1})
 
     @staticmethod
     def term(exponents: Mapping[str, int], coeff: RationalLike = 1) -> "LaurentPoly":
-        return LaurentPoly({monomial(exponents): Fraction(coeff)})
+        return LaurentPoly({monomial(exponents): coeff})
 
     # -- inspection ----------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, RationalLike]:
         return self._terms
 
     def names(self) -> set:
@@ -125,7 +127,7 @@ class LaurentPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self._terms.get(UNIT_MONOMIAL, Fraction(0))
+        return Fraction(self._terms.get(UNIT_MONOMIAL, 0))
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -167,11 +169,6 @@ class LaurentPoly:
         return LaurentPoly._trusted({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
-                return LaurentPoly.zero()
-            return LaurentPoly._trusted({m: c * f for m, c in self._terms.items()})
         o = self._coerce(other)
         return fold_terms((mono_mul(ma, mb), ca * cb)
                           for ma, ca in self._terms.items()
@@ -184,7 +181,8 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise ValueError("negative powers only apply to monomials")
             ((m, c),) = self._terms.items()
-            return LaurentPoly({mono_pow(m, n): c**n})
+            # An int to a negative power is a float; a Fraction stays exact.
+            return LaurentPoly({mono_pow(m, n): Fraction(c) ** n})
         out = LaurentPoly.const(1)
         base = self
         while n:
@@ -222,7 +220,7 @@ class LaurentPoly:
                     kept[name] = e
             if c:
                 mm = monomial(kept)
-                out[mm] = out.get(mm, Fraction(0)) + c
+                out[mm] = out.get(mm, 0) + c
         return LaurentPoly(out)
 
     # -- canonical text ------------------------------------------------------
@@ -263,17 +261,17 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_text()})"
 
 
-def fold_terms(pairs: Iterable[Tuple[Monomial, Fraction]],
+def fold_terms(pairs: Iterable[Tuple[Monomial, RationalLike]],
                acc: Optional[dict] = None) -> LaurentPoly:
     """The polynomial of acc (empty by default) plus the (monomial,
-    Fraction coefficient) pairs, summed in acc itself: like monomials are
-    collected and a monomial whose coefficient reaches zero is deleted.
-    acc must hold nonzero Fractions and becomes the result's."""
+    coefficient) pairs, summed in acc itself: like monomials are collected,
+    a zero sum is deleted and an integral one becomes an int.  acc must keep
+    the coefficient rule and becomes the result's."""
     acc = {} if acc is None else acc
     for m, c in pairs:
         c = acc.get(m, 0) + c
         if c:
-            acc[m] = c
+            acc[m] = c.numerator if c.denominator == 1 else c
         else:
             acc.pop(m, None)
     return LaurentPoly._trusted(acc)
@@ -288,8 +286,8 @@ def poly_sum(items: Iterable[LaurentPoly]) -> LaurentPoly:
 
 
 def _dense_coeffs(p: LaurentPoly, var: str) -> list:
-    """Coefficient list of a one-name polynomial, shifted so the lowest
-    exponent becomes degree 0 (Laurent monomials are units)."""
+    """Fraction coefficients (exact under /) of a one-name polynomial, shifted
+    so the lowest exponent becomes degree 0 (Laurent monomials are units)."""
     if p.is_zero():
         return []
     exps = {}
@@ -297,7 +295,7 @@ def _dense_coeffs(p: LaurentPoly, var: str) -> list:
         e = dict(m).get(var, 0)
         exps[e] = c
     lo, hi = min(exps), max(exps)
-    return [exps.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+    return [Fraction(exps.get(e, 0)) for e in range(lo, hi + 1)]
 
 
 def _trim(cs: list) -> list:

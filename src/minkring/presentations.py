@@ -24,11 +24,11 @@ with the ring's one closed-basis product before each resulting polytope is
 decomposed into cells once.  Images are cached per shape, so the cache
 holds at most one entry per distinct shape, and a monomial's image is its
 shape's cells moved by the offset.  Every geometric weight is an integer
-(products of +-1 face signs), so the cached images carry ``int`` weights:
-:meth:`Presentation.phi` scales f by D, the lcm of its denominators, sums
-``int``s per cell and divides by D once, as each nonzero cell of the sum
-becomes a ``Fraction`` weight.  A kernel member builds no ``Fraction``, and
-a witness builds one, for the reported cell.
+(products of +-1 face signs), so the cached images carry ``int`` weights,
+as integral coefficients do (see :mod:`minkring.laurent`): :meth:`phi`
+scales f by D, the lcm of its denominators, sums ``int``s per cell and
+divides by D once, as each nonzero cell of the sum becomes a ``Fraction``
+weight.  A kernel member builds no ``Fraction``, and a witness builds one.
 
 Kernel membership is decided semantically: map the polynomial through the
 surjection and test the canonical simple function for zero.  Declared

@@ -24,9 +24,9 @@ value, plus point corrections.
 The trusted constructor ``SimpleFunction._trusted`` neither copies nor
 re-wraps its dict.  Its invariant: every weight is nonzero, the map is
 canonical (:func:`canonical_terms`) and the new function alone owns it.
-Public results carry ``Fraction`` weights; a presentation's cached shape
-images and the face-cover products of ``identities`` carry ``int``s, which
-compare and hash like the equal Fractions.
+Public results carry ``Fraction`` weights; weights inside the library may
+be ``int``s, as integral Laurent coefficients are under the coefficient rule
+of :mod:`minkring.laurent`, and compare and hash like the equal Fractions.
 """
 
 from __future__ import annotations

@@ -131,9 +131,10 @@ def fold_by_copies(polys):
 
 
 def well_formed(p) -> bool:
-    """Every coefficient a nonzero Fraction (the trusted constructor's
-    invariant)."""
-    return all(type(c) is Fraction and c for c in p.terms.values())
+    """Every coefficient nonzero, an int when integral and a Fraction with
+    denominator > 1 otherwise (the trusted constructor's invariant)."""
+    return all(c and (type(c) is int or type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minkring
 from minkring.cli import parse_poly
 from minkring.laurent import (ArityError, LaurentPoly, poly_sum,
                               univariate_ideal_member)
 from conftest import fold_by_copies, well_formed
 
 X, Y, Z = LaurentPoly.var("x"), LaurentPoly.var("y"), LaurentPoly.var("z")
+LIBRARY = os.path.join(os.path.dirname(os.path.abspath(minkring.__file__)), "")
 
 
 def test_expansion_examples():
@@ -40,6 +44,51 @@ def test_substitute():
     assert g.substitute({"z": 2}) == LaurentPoly.const(2) - LaurentPoly.var("y3")
     with pytest.raises(ZeroDivisionError):
         LaurentPoly.var("x", -1).substitute({"x": 0})
+
+
+def _floats_in_library_frames(run) -> list:
+    """(function, line) of every moment a frame of the library holds a float
+    in a local variable, directly or as an item of a list, tuple or dict,
+    or returns one, while run() runs."""
+    seen = []
+
+    def has_float(v):
+        items = (v.values() if isinstance(v, dict)
+                 else v if isinstance(v, (list, tuple)) else (v,))
+        return any(isinstance(x, float) for x in items)
+
+    def local(frame, event, arg):
+        if any(has_float(v) for v in frame.f_locals.values()) or \
+                event == "return" and has_float(arg):
+            seen.append((frame.f_code.co_name, frame.f_lineno))
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(LIBRARY) else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+def test_coefficients_stay_exact():
+    def run():
+        whole = parse_poly("1/2*x + 1/2*x")
+        assert [(m, c, type(c)) for m, c in whole.terms.items()] == [((("x", 1),), 1, int)]
+        power = parse_poly("(2*x)^-3")
+        assert power == LaurentPoly.term({"x": -3}, Fraction(1, 8))
+        assert [type(c) for c in power.terms.values()] == [Fraction]
+        assert power.to_text() == "1/8*x^-3" == parse_poly(power.to_text()).to_text()
+        t = LaurentPoly.var("t")
+        assert univariate_ideal_member(2 * t - 1, [(2 * t - 1) * (3 * t + 1),
+                                                   (2 * t - 1) * (t - 5)])
+        assert not univariate_ideal_member(3 * t - 1, [(2 * t - 1) * (3 * t + 1)])
+
+    assert _floats_in_library_frames(run) == []
 
 
 def test_univariate_ideal_member():
@@ -118,7 +167,10 @@ def test_poly_sum_matches_running_sum(items, data):
     assert total == fold_by_copies(items) and well_formed(total)
     assert poly_sum(items + [-total]).is_zero()
     for f, g in zip(items, items[1:]):
-        for result in (f + g, f - g, -f, f * g, 3 * f, f * 0, f ** 2, f.power_map(0)):
+        for result in (f + g, f - g, -f, f * g, 3 * f, f * 0, f ** 2, f.power_map(0),
+                       Fraction(1, 2) * f + Fraction(1, 2) * f, f * Fraction(1, 3),
+                       *([f ** -1] if f.is_monomial() else []),
+                       f.substitute({"x": Fraction(1, 2)})):
             assert well_formed(result)
 
 
