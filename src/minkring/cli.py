@@ -34,7 +34,7 @@ from . import identities as ids
 from . import products as prod
 from . import rewriting as rw
 from . import simplefn as sf
-from .laurent import LaurentPoly, poly_sum
+from .laurent import LaurentPoly, fold_terms, mono_mul, monomial
 from .presentations import (Presentation, PrincipalShape, box_ring,
                             classify_principal, coxeter_ring, interval_ring,
                             point_ring, polytope_text)
@@ -50,23 +50,15 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # polynomial parser
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<op>[-+*^()]))")
+_TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*^()])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if rest:
-                raise ParseError(f"unexpected character {rest[0]!r}",
-                                 len(text) - len(rest))
-            break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, val, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -75,6 +67,12 @@ _MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over the token list.  Each term is folded once:
+    its numbers into one coefficient (an ``int`` unless a number has a
+    '/'), its names into one exponent dict, and only its parenthesised
+    factors are multiplied as polynomials.  An expression folds the signed
+    (monomial, coefficient) pairs of all its terms into one dict."""
+
     def __init__(self, text: str, names=None):
         self.text = text
         self.tokens = _tokenize(text)
@@ -103,33 +101,58 @@ class _Parser:
         return poly
 
     def expr(self) -> LaurentPoly:
-        """Signed terms, summed once at the end."""
-        terms, sign = [], "+"
+        pairs, sign = [], 1
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.next()
-            sign = val
+            sign = -1 if val == "-" else 1
         while True:
-            term = self.term()
-            terms.append(-term if sign == "-" else term)
-            kind, sign, _ = self.peek()
-            if not (kind == "op" and sign in "+-"):
-                return poly_sum(terms)
+            self.term(sign, pairs)
+            kind, val, _ = self.peek()
+            if not (kind == "op" and val in "+-"):
+                return fold_terms(pairs)
             self.next()
+            sign = -1 if val == "-" else 1
 
-    def term(self) -> LaurentPoly:
-        out = self.factor()
+    def term(self, coeff: int, pairs: list) -> None:
+        """Append the (monomial, coefficient) pairs of one term, times coeff."""
+        exps, poly = {}, None
         while True:
+            kind, val, pos = self.next()
+            if kind == "num":
+                if "/" in val:
+                    try:
+                        coeff *= Fraction(val)
+                    except ZeroDivisionError:
+                        raise ParseError("zero denominator", pos) from None
+                else:
+                    coeff *= int(val)
+            elif kind == "name":
+                if self.names is not None and val not in self.names:
+                    raise ParseError(f"unknown name {val!r}", pos)
+                exps[val] = exps.get(val, 0) + self.power()
+            elif kind == "op" and val == "(":
+                inner = self.group(pos)
+                poly = inner if poly is None else poly * inner
+            else:
+                raise ParseError(f"unexpected token {val!r}", pos)
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                out = out * self.factor()
-            elif kind in ("name", "num") or (kind == "op" and val == "("):
-                out = out * self.factor()
-            else:
-                return out
+            elif not (kind in ("name", "num") or (kind == "op" and val == "(")):
+                break
+        mono = monomial(exps)
+        if poly is None:
+            pairs.append((mono, coeff))
+        else:
+            pairs.extend((mono_mul(m, mono), c * coeff) for m, c in poly.terms.items())
 
-    def exponent(self) -> int:
+    def power(self) -> int:
+        """The exponent after an optional '^', else 1."""
+        kind, val, _ = self.peek()
+        if not (kind == "op" and val == "^"):
+            return 1
+        self.next()
         sign = 1
         kind, val, pos = self.next()
         if kind == "op" and val in "+-":
@@ -139,41 +162,22 @@ class _Parser:
             raise ParseError("expected an integer exponent", pos)
         return sign * int(val)
 
-    def factor(self) -> LaurentPoly:
-        kind, val, pos = self.next()
-        if kind == "num":
-            try:
-                coeff = Fraction(val)
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", pos) from None
-            return LaurentPoly.const(coeff)
-        if kind == "name":
-            if self.names is not None and val not in self.names:
-                raise ParseError(f"unknown name {val!r}", pos)
-            exp = 1
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "^":
-                self.next()
-                exp = self.exponent()
-            return LaurentPoly.var(val, exp) if exp else LaurentPoly.const(1)
-        if kind == "op" and val == "(":
-            # Each level recurses through expr, term and factor; the limit
-            # keeps the stack far from Python's recursion limit.
-            if self.depth == _MAX_NESTING:
-                raise ParseError(f"nesting deeper than {_MAX_NESTING}", pos)
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.expect_op(")")
-            kind2, val2, pos2 = self.peek()
-            if kind2 == "op" and val2 == "^":
-                self.next()
-                exp = self.exponent()
-                if exp < 0 and not inner.is_monomial():
-                    raise ParseError("negative power of a non-monomial", pos2)
-                return inner**exp
-            return inner
-        raise ParseError(f"unexpected token {val!r}", pos)
+    def group(self, pos: int) -> LaurentPoly:
+        """A parenthesised subexpression, its '(' at pos already read, with
+        its optional power."""
+        # Each level recurses through expr, term and group; the limit keeps
+        # the stack far from Python's recursion limit.
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING}", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        self.expect_op(")")
+        caret = self.peek()[2]
+        exp = self.power()
+        if exp < 0 and not inner.is_monomial():
+            raise ParseError("negative power of a non-monomial", caret)
+        return inner if exp == 1 else inner**exp
 
 
 def parse_poly(text: str, names=None) -> LaurentPoly:

@@ -1,9 +1,13 @@
 """Sparse multivariate Laurent polynomials over the rationals.
 
-A monomial maps generator names to nonzero integer exponents (negative
-exponents allowed); a polynomial maps monomials to nonzero coefficients
-under one coefficient rule: an ``int`` when integral, else a ``Fraction``
-with denominator > 1.  The zero polynomial has no terms.  Results are always
+A monomial is a tuple of ``(name, exponent)`` pairs, sorted by name, each
+exponent a nonzero int (negative exponents allowed), no name twice; the
+unit monomial is ``()``.  The public constructor enforces this invariant
+on every key it is given, and every other path builds keys that keep it,
+so :func:`mono_mul` can merge two sorted tuples without a dict or a sort.
+A polynomial maps monomials to nonzero coefficients under one coefficient
+rule: an ``int`` when integral, else a ``Fraction`` with denominator > 1;
+floats are refused.  The zero polynomial has no terms.  Results are always
 canonical: no zero exponents, no zero coefficients, and a deterministic
 term order for printing (total degree first, then exponent vectors with the
 alphabetically last name most significant, largest first).
@@ -11,11 +15,11 @@ alphabetically last name most significant, largest first).
 Arithmetic builds each result in one dict: :func:`fold_terms` adds terms
 into it, deleting a monomial whose coefficient sums to zero, and wraps it
 with the trusted constructor ``LaurentPoly._trusted``, which neither copies
-the dict nor re-wraps its values.  Its invariant: every value keeps the
-coefficient rule, and the new polynomial alone owns the dict.  The public
-constructor and :func:`fold_terms`, which every coefficient passes, apply
-the rule.  :func:`poly_sum` folds many polynomials into one dict, so
-assembling n terms costs O(n), not O(n^2).
+the dict nor re-wraps its values.  Its invariant: every key is a canonical
+monomial, every value keeps the coefficient rule, and the new polynomial
+alone owns the dict.  The public constructor and :func:`fold_terms`, which
+every coefficient passes, apply the rule.  :func:`poly_sum` folds many
+polynomials into one dict, so assembling n terms costs O(n), not O(n^2).
 """
 
 from __future__ import annotations
@@ -40,24 +44,39 @@ def monomial(exponents: Mapping[str, int]) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two canonical monomials: a merge of the name-sorted
+    tuples that adds the exponents of a shared name and drops a zero sum."""
     if not a:
         return b
     if not b:
         return a
-    exps = dict(a)
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return monomial(exps)
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        fa, fb = a[i], b[j]
+        if fa[0] < fb[0]:
+            out.append(fa)
+            i += 1
+        elif fb[0] < fa[0]:
+            out.append(fb)
+            j += 1
+        else:
+            e = fa[1] + fb[1]
+            if e:
+                out.append((fa[0], e))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_pow(m: Monomial, i: int) -> Monomial:
     if i == 0:
         return UNIT_MONOMIAL
     return tuple((name, e * i) for name, e in m)
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
 
 
 def mono_text(m: Monomial) -> str:
@@ -72,13 +91,12 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, RationalLike]] = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[m] = c.numerator if c.denominator == 1 else c
-        self._terms = clean
+        """The polynomial of a map from monomials to coefficients.  Each key
+        is made canonical (sorted by name, zero exponents dropped) and keys
+        that become equal are summed; a key that names one generator twice
+        raises ``ValueError``, a float coefficient ``TypeError``."""
+        self._terms = fold_terms(
+            (_canonical(m), _coefficient(c)) for m, c in (terms or {}).items())._terms
 
     @classmethod
     def _trusted(cls, terms: dict) -> "LaurentPoly":
@@ -96,15 +114,16 @@ class LaurentPoly:
 
     @staticmethod
     def const(value: RationalLike) -> "LaurentPoly":
-        return LaurentPoly({UNIT_MONOMIAL: value})
+        return LaurentPoly.term({}, value)
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "LaurentPoly":
-        return LaurentPoly({monomial({name: exp}): 1})
+        return LaurentPoly._trusted({((name, exp),) if exp else UNIT_MONOMIAL: 1})
 
     @staticmethod
     def term(exponents: Mapping[str, int], coeff: RationalLike = 1) -> "LaurentPoly":
-        return LaurentPoly({monomial(exponents): coeff})
+        coeff = _coefficient(coeff)
+        return LaurentPoly._trusted({monomial(exponents): coeff} if coeff else {})
 
     # -- inspection ----------------------------------------------------------
 
@@ -113,10 +132,7 @@ class LaurentPoly:
         return self._terms
 
     def names(self) -> set:
-        out = set()
-        for m in self._terms:
-            out.update(name for name, _ in m)
-        return out
+        return {name for m in self._terms for name, _ in m}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -226,12 +242,18 @@ class LaurentPoly:
     # -- canonical text ------------------------------------------------------
 
     def sorted_terms(self) -> list:
-        universe = sorted(self.names(), reverse=True)
+        """Terms in printing order: total degree, largest first, then the
+        exponent vectors over the names, the alphabetically last name most
+        significant, largest first."""
+        rank = {n: i for i, n in enumerate(sorted(self.names(), reverse=True))}
+        width = len(rank)
 
         def key(item):
-            m, _ = item
-            exps = dict(m)
-            return (-mono_degree(m), tuple(-exps.get(n, 0) for n in universe))
+            vector, degree = [0] * width, 0
+            for name, e in item[0]:
+                vector[rank[name]] = -e
+                degree += e
+            return -degree, vector
 
         return sorted(self._terms.items(), key=key)
 
@@ -259,6 +281,27 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
+
+
+def _canonical(m) -> Monomial:
+    """m as a canonical monomial: sorted by name, zero exponents dropped."""
+    if all(f[1] for f in m) and all(f[0] < g[0] for f, g in zip(m, m[1:])):
+        return m
+    names = [name for name, _ in m]
+    if len(set(names)) < len(names):
+        raise ValueError(f"monomial {m!r} names a generator twice")
+    return tuple(sorted(f for f in m if f[1]))
+
+
+def _coefficient(c) -> RationalLike:
+    """c under the coefficient rule, allowing 0; a float is refused, since it
+    is not exact."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}; use an int or a Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def fold_terms(pairs: Iterable[Tuple[Monomial, RationalLike]],

@@ -171,9 +171,17 @@ class Presentation:
 
     def _phi_monomial(self, m) -> sf.SimpleFunction:
         """Image of one monomial, with int weights: the image of its shape,
-        moved by its offset.  A shape's image is built once, as a signed sum
-        of closed polytopes, and each polytope is decomposed into cells once."""
+        moved by its offset."""
         shape, offset = self._split(m)
+        image = self._shape_image(shape)
+        if offset is None:
+            return image
+        return sf.SimpleFunction._trusted(self.ambient, dict(_shifted(image, offset)))
+
+    def _shape_image(self, shape) -> sf.SimpleFunction:
+        """Image of a shape from :meth:`_split`, with int weights.  It is
+        built once, as a signed sum of closed polytopes, and each polytope
+        is decomposed into cells once."""
         image = self._mono_cache.get(shape)
         if image is None:
             factors = []
@@ -189,9 +197,7 @@ class Presentation:
             for factor in sorted(factors, key=len):
                 basis = sf.closed_product(basis, factor)
             image = self._mono_cache[shape] = sf.from_closed(self.ambient, basis)
-        if offset is None:
-            return image
-        return sf.SimpleFunction._trusted(self.ambient, dict(_shifted(image, offset)))
+        return image
 
     def _image_ints(self, f: LaurentPoly) -> tuple:
         """(canonical map of int cell weights, D): the image of D * f, where
@@ -202,7 +208,7 @@ class Presentation:
         for m, coeff in f.terms.items():
             shape, offset = self._split(m)
             n = coeff.numerator * (den // coeff.denominator)
-            for cell, q in _shifted(self._phi_monomial(shape), offset):
+            for cell, q in _shifted(self._shape_image(shape), offset):
                 acc[cell] = acc.get(cell, 0) + n * q
         return sf.canonical_terms(self.ambient, acc), den
 

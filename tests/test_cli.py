@@ -1,13 +1,16 @@
 import io
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkring.cli import (ParseError, main, parse_gridset, parse_poly,
                           parse_scalar)
-from minkring.laurent import LaurentPoly
+from minkring.laurent import LaurentPoly, poly_sum
 from minkring.scalars import Scalar
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -86,6 +89,174 @@ def test_parse_gridset():
     assert g.bounds() == (0, 1, 0, 1, 0, 2)
     with pytest.raises(ValueError):
         parse_gridset("u:0..1")
+
+
+# -- the one-fold parser against a token-by-token oracle -------------------------
+
+
+_ORACLE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                           r"|(?P<op>[-+*^()]))")
+
+
+class OracleParser:
+    """The same grammar, parsed factor by factor: every number, name and
+    group becomes a polynomial, a term is their running product and an
+    expression the sum of its terms.  Tokens are matched one at a time."""
+
+    def __init__(self, text, names=None):
+        self.tokens, pos = [], 0
+        while pos < len(text):
+            m = _ORACLE_TOKEN.match(text, pos)
+            if not m:
+                rest = text[pos:].lstrip()
+                if rest:
+                    raise ParseError(f"unexpected character {rest[0]!r}",
+                                     len(text) - len(rest))
+                break
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
+            pos = m.end()
+        self.tokens.append(("end", "", len(text)))
+        self.i, self.depth = 0, 0
+        self.names = set(names) if names is not None else None
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def parse(self):
+        poly = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {val!r}", pos)
+        return poly
+
+    def expr(self):
+        terms, sign = [], "+"
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.next()
+            sign = val
+        while True:
+            term = self.term()
+            terms.append(-term if sign == "-" else term)
+            kind, sign, _ = self.peek()
+            if not (kind == "op" and sign in "+-"):
+                return poly_sum(terms)
+            self.next()
+
+    def term(self):
+        out = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val == "*":
+                self.next()
+                out = out * self.factor()
+            elif kind in ("name", "num") or (kind == "op" and val == "("):
+                out = out * self.factor()
+            else:
+                return out
+
+    def exponent(self):
+        sign = 1
+        kind, val, pos = self.next()
+        if kind == "op" and val in "+-":
+            sign = -1 if val == "-" else 1
+            kind, val, pos = self.next()
+        if kind != "num" or "/" in val:
+            raise ParseError("expected an integer exponent", pos)
+        return sign * int(val)
+
+    def factor(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            try:
+                return LaurentPoly.const(Fraction(val))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", pos) from None
+        if kind == "name":
+            if self.names is not None and val not in self.names:
+                raise ParseError(f"unknown name {val!r}", pos)
+            exp = 1
+            if self.peek()[:2] == ("op", "^"):
+                self.next()
+                exp = self.exponent()
+            return LaurentPoly.var(val, exp) if exp else LaurentPoly.const(1)
+        if kind == "op" and val == "(":
+            if self.depth == 100:
+                raise ParseError("nesting deeper than 100", pos)
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            kind2, val2, pos2 = self.next()
+            if kind2 != "op" or val2 != ")":
+                raise ParseError("expected ')'", pos2)
+            kind2, val2, pos2 = self.peek()
+            if kind2 == "op" and val2 == "^":
+                self.next()
+                exp = self.exponent()
+                if exp < 0 and not inner.is_monomial():
+                    raise ParseError("negative power of a non-monomial", pos2)
+                return inner**exp
+            return inner
+        raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def _outcome(parse):
+    """Canonical text and coefficient types of a parse, or its exception's
+    type and message."""
+    try:
+        poly = parse()
+    except Exception as exc:  # the two parsers must fail alike, whatever the error
+        return type(exc), str(exc)
+    return poly.to_text(), [type(c) for _, c in poly.sorted_terms()]
+
+
+# Exponents come only from "0", "^2 " and "^-1 ", so no run of digits can
+# raise a group to a large power.
+PARSER_ALPHABET = ["x", "y", "z1", "0", "1/2", "3/0", "^", "^-", "^2 ", "^-1 ",
+                   "+", "-", "*", "(", ")", " ", "  ", "$"]
+
+
+
+
+def _expressions(factors):
+    """Signed sums of terms of the factors, separated in every way the
+    grammar allows."""
+    term = st.lists(st.tuples(st.sampled_from(["*", " ", " * ", ""]), factors),
+                    min_size=1, max_size=3).map(
+        lambda fs: "".join(sep + f for sep, f in fs)[len(fs[0][0]):])
+    return st.lists(st.tuples(st.sampled_from(["+", "-", " - ", ""]), term),
+                    min_size=1, max_size=3).map(
+        lambda ts: "".join(sign + t for sign, t in ts))
+
+
+# Mostly well-formed polynomials, some with one token of the alphabet put in.
+WELL_FORMED = _expressions(st.recursive(
+    st.sampled_from(["x", "y", "z1", "x^2", "y^-1", "z1^0", "0", "2", "1/2", "3/0"]),
+    lambda inner: st.tuples(_expressions(inner), st.sampled_from(["", "^2", "^-1", "^0"]))
+    .map(lambda g: f"({g[0]}){g[1]}"), max_leaves=6))
+
+
+@st.composite
+def parser_inputs(draw):
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(PARSER_ALPHABET), max_size=24)))
+    text = draw(WELL_FORMED)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(PARSER_ALPHABET)) + text[i:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(parser_inputs(), st.sampled_from([None, {"x", "y"}]))
+def test_parser_matches_token_by_token_oracle(text, names):
+    assert _outcome(lambda: parse_poly(text, names)) == \
+        _outcome(lambda: OracleParser(text, names).parse())
 
 
 # -- golden reports --------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import minkring
 from minkring.cli import parse_poly
-from minkring.laurent import (ArityError, LaurentPoly, poly_sum,
-                              univariate_ideal_member)
+from minkring.laurent import (ArityError, LaurentPoly, mono_mul, monomial,
+                              poly_sum, univariate_ideal_member)
 from conftest import fold_by_copies, well_formed
 
 X, Y, Z = LaurentPoly.var("x"), LaurentPoly.var("y"), LaurentPoly.var("z")
@@ -153,6 +153,55 @@ def test_print_parse_roundtrip(f):
 def test_canonical_order_deterministic():
     f = parse_poly("x + z^2 + y*z - 3")
     assert f.to_text() == "z^2 + y*z + x - 3"
+
+
+# -- canonical monomials: the merge, the print order, the constructor ---------
+
+
+monomials = st.dictionaries(st.sampled_from(["a", "x", "x1", "y", "y3", "z"]),
+                            st.integers(-2, 2)).map(monomial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials, monomials)
+def test_mono_mul_matches_dict_and_sort(a, b):
+    exps = dict(a)
+    for name, e in b:
+        exps[name] = exps.get(name, 0) + e
+    assert mono_mul(a, b) == monomial(exps) == mono_mul(b, a)
+    inverse = tuple((name, -e) for name, e in a)  # every exponent cancels
+    assert mono_mul(a, inverse) == () and mono_mul(mono_mul(a, b), inverse) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=8))
+def test_sorted_terms_matches_dense_vector_key(f):
+    universe = sorted(f.names(), reverse=True)
+
+    def key(item):
+        exps = dict(item[0])
+        return -sum(exps.values()), tuple(-exps.get(n, 0) for n in universe)
+
+    assert f.sorted_terms() == sorted(f.terms.items(), key=key)
+
+
+def test_constructor_makes_keys_canonical():
+    x, y = LaurentPoly.var("x"), LaurentPoly.var("y")
+    assert (LaurentPoly({(("y", 1), ("x", 1)): 1}) - x * y).is_zero()
+    assert LaurentPoly({(("x", 0),): 2}) == 2
+    assert list(LaurentPoly({(("y", 2), ("x", 0)): 2}).terms) == [(("y", 2),)]
+    folded = LaurentPoly({(("y", 1), ("x", 1)): 1, (("x", 1), ("y", 1)): Fraction(1, 2),
+                          (("x", 0),): 1, (): -1})
+    assert folded.terms == {(("x", 1), ("y", 1)): Fraction(3, 2)}
+    assert well_formed(folded)
+    with pytest.raises(ValueError, match="names a generator twice"):
+        LaurentPoly({(("x", 1), ("x", 2)): 1})
+    with pytest.raises(TypeError, match="float"):
+        LaurentPoly({(("x", 1),): 0.5})
+    with pytest.raises(TypeError, match="float"):
+        LaurentPoly.const(1.0)
+    canonical = {(): Fraction(4, 2), (("x", -1), ("y", 2)): Fraction(1, 3)}
+    assert LaurentPoly(canonical).terms == {(): 2, (("x", -1), ("y", 2)): Fraction(1, 3)}
 
 
 # -- one-dict assembly against the running sum of copies ----------------------

@@ -367,8 +367,11 @@ def test_images_are_cached_per_shape():
     ring = coxeter_ring()
     fresh = Presentation("coxeter", "laurent", list(ring.generators.values()))
     f = parse_poly("z + x1*z + x2^-2*z - x1^3*x2*z + y1*x1^-1 + y1*x2^4 + x1 - x2^-1")
+    split, splits = fresh._split, []
+    fresh._split = lambda m: splits.append(m) or split(m)
     assert fresh.phi(f) == ring.phi(f)
     assert set(fresh._mono_cache) == {(("z", 1),), (("y1", 1),), ()}
+    assert splits == list(f.terms)  # each monomial is split once
 
 
 def test_negative_point_powers_need_laurent_mode():
