@@ -23,9 +23,20 @@ and open intervals on the line, and lattice cells.  The integer level sets
 of an arrangement's forms cut R^d into cells, each the points of one
 signature (per form, its floor and whether it is integral) and each holding
 a fine lattice point, so an arrangement derives its table of cell kinds
-once by sampling [0, 1)^d, and a lattice set decomposes by translating the
-table.  Empty systems and non-integral lattice coordinates are rejected.
-All values are immutable.
+once by sampling [0, 1)^d (a product takes the tuples of its parts' kinds),
+and a lattice set decomposes by translating the table.
+
+A lattice cell ``(kind, a_0, ..., a_{d-1})`` packs into one int key
+(:meth:`Arrangement.pack`): the kind's RANK, then each a_j + 2^(w-1) in a
+w-bit field, a_{d-1} least significant.  Kinds are ranked by dimension, so
+int order is :func:`cell_sort_key` order, and a translation by o adds the
+int sum of o_j * 2^(w(d-1-j)), with no carry while every field stays in
+range; :func:`key_width` picks w from the largest coordinate.  The cells of
+one kind whose anchors share a_0 .. a_{d-2} have consecutive a_{d-1}, so a
+lattice set decomposes into *runs*, ``(start, stop)`` ranges of keys
+(:func:`decompose_runs`): O(n) of them for a polygon of side n against
+O(n^2) cells.  Empty systems and non-integral lattice coordinates are
+rejected.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, eq, gt, itemgetter, mul, sub
+from operator import add, eq, ge, gt, itemgetter, mul, ne, sub
 from typing import Iterable, Union
 
 from .scalars import Scalar, ScalarLike
@@ -106,25 +117,70 @@ class Arrangement:
             tuple((k, row[:j], row[j]) for k, row in enumerate(forms)
                   if k >= d and row[j] and not any(row[j + 1:]))
             for j in range(d))
-        # The table: a kind per signature of (1/N)Z^d in [0, 1)^d (the first
-        # coordinate fastest), ranked by dimension, then first sample; its closure
-        # bounds are each form's floor and ceiling, its point the samples' mean.
-        samples: dict = {}
-        for index in itertools.product(range(fine), repeat=d):
-            x = tuple(Fraction(i, fine) for i in reversed(index))
-            samples.setdefault(self.signature(x), []).append(x)
-        rows = sorted(((self.dims[tuple(p for _, p in sig)], sig, xs)
-                       for sig, xs in samples.items()), key=lambda row: row[0])
+        # The table: a kind per signature of the cells, ranked by dimension, then
+        # by first sample of (1/N)Z^d in [0, 1)^d, the first coordinate fastest;
+        # its closure bounds are each form's floor and ceiling, its point the
+        # samples' mean.  A product's rows are the tuples of its parts' rows,
+        # each part sampled at the product's N: the samples of a product of
+        # cells are the tuples of the parts' samples.
+        if parts:
+            rows = []
+            for combo in itertools.product(*(a.samples(fine) for a, _ in parts)):
+                sig = [None] * len(forms)
+                for (_, ks), (part_sig, _, _) in zip(parts, combo):
+                    for k, entry in zip(ks, part_sig):
+                        sig[k] = entry
+                _, firsts, means = zip(*combo)
+                rows.append((tuple(sig), sum(firsts, ()), sum(means, ())))
+        else:
+            rows = self.samples(fine)
+        rows.sort(key=lambda row: (self.dims[tuple(p for _, p in row[0])], row[1][::-1]))
         self.kinds = tuple(type(
             cell_names[rank] if cell_names else f"{name.title()}{d}Cell{rank}",
             (LatticeCell,),
-            {"__slots__": (), "ARRANGEMENT": self, "RANK": rank, "DIM": dim,
+            {"__slots__": (), "ARRANGEMENT": self, "RANK": rank,
+             "DIM": self.dims[tuple(p for _, p in sig)],
              "SIGNATURE": sig, "LO": tuple(f for f, _ in sig),
-             "HI": tuple(f if p else f + 1 for f, p in sig),
-             "POINT": tuple(sum(c) / len(xs) for c in zip(*xs))})
-            for rank, (dim, sig, xs) in enumerate(rows))
+             "HI": tuple(f if p else f + 1 for f, p in sig), "POINT": point})
+            for rank, (sig, _, point) in enumerate(rows))
         self.kind_of = {kind.SIGNATURE: kind for kind in self.kinds}
-        self.closures = tuple((kind, kind.LO, kind.HI) for kind in self.kinds)
+        # per tuple of flags, one per form, whether a lattice set's bounds differ
+        # there: the kinds, with their closure bounds, whose closures can lie in it
+        self.fitting = {flags: tuple((kind, kind.LO, kind.HI) for kind in self.kinds
+                                     if all(map(ge, flags, map(ne, kind.LO, kind.HI))))
+                        for flags in self.dims}
+
+    def samples(self, fine: int) -> list:
+        """(signature, first sample, mean) per signature of the points of
+        (1/fine)Z^d in [0, 1)^d, the first coordinate fastest."""
+        samples: dict = {}
+        for index in itertools.product(range(fine), repeat=self.d):
+            x = tuple(Fraction(i, fine) for i in reversed(index))
+            samples.setdefault(self.signature(x), []).append(x)
+        return [(sig, xs[0], tuple(sum(c) / len(xs) for c in zip(*xs)))
+                for sig, xs in samples.items()]
+
+    def pack(self, cell, width: int) -> int:
+        """The key of a lattice cell: its kind's RANK, then each anchor
+        coordinate plus 2^(width - 1) in a width-bit field, the last coordinate
+        least significant."""
+        key, bias = cell[0].RANK, 1 << (width - 1)
+        for a in cell[1:]:
+            key = (key << width) + a + bias
+        return key
+
+    def cells(self, start: int, stop: int, width: int) -> list:
+        """The cells of the keys start <= k < stop, which must differ in the
+        last field only: one kind and anchor prefix, consecutive last
+        coordinates."""
+        mask, bias, key = (1 << width) - 1, 1 << (width - 1), start
+        anchor = []
+        for _ in range(self.d):
+            anchor.append((key & mask) - bias)
+            key >>= width
+        kind, first = self.kinds[key], anchor.pop(0)
+        prefix = tuple(reversed(anchor))
+        return [_cell(kind, (kind, *prefix, t)) for t in range(first, first + stop - start)]
 
     def __repr__(self) -> str:
         return f"Arrangement({self.name}, d={self.d})"
@@ -587,10 +643,7 @@ def shift_cell(c: Cell, offset) -> Cell:
     """The cell moved by offset, given in the coordinates of
     :func:`translate` (Scalar on the line, integer tuples elsewhere)."""
     if isinstance(c, LatticeCell):
-        kind = c[0]
-        if len(c) == 3:  # the plane spelled out: phi moves every image cell here
-            return _cell(kind, (kind, c[1] + offset[0], c[2] + offset[1]))
-        return _cell(kind, (kind, *map(add, c[1:], offset)))
+        return _cell(c[0], (c[0], *map(add, c[1:], offset)))
     if isinstance(c, Point1D):
         return Point1D(c.at + offset)
     return OpenInterval1D(c.lo + offset, c.hi + offset)
@@ -616,35 +669,76 @@ def cell_contains(c: Cell, x) -> bool:
     return t == c.at if isinstance(c, Point1D) else c.lo < t < c.hi
 
 
-def _lattice_cells(arr: Arrangement, kind: type, los: tuple, his: tuple) -> list:
-    """The cells of kind anchored at the integer points x with los[k] <= f_k(x)
-    <= his[k]: coordinate j ranges over its own bounds narrowed, given the
-    coordinates before it, by the forms whose last coordinate it is."""
-    cells = [(kind,)]
-    for lo_j, hi_j, forms in zip(los, his, arr.last_on):
+def key_width(reach: int) -> int:
+    """The field width of packed cell keys, a multiple of 32 bits, for anchor
+    coordinates a with |a| <= reach: every field a + 2^(width - 1), and a
+    run's stop at reach + 1, lies strictly between 0 and 2^width - 1.  So
+    keys whose anchors stay within reach add without a carry from one field
+    into the next, and runs of different anchor prefixes never meet."""
+    return 32 * ((reach.bit_length() + 33) // 32)
+
+
+def reach(p: LatticeSet) -> int:
+    """The largest absolute coordinate of p, which bounds its cells' anchors."""
+    d = p[0].d
+    return max(map(abs, p[1][:d] + p[2][:d]))
+
+
+def _lattice_rows(arr: Arrangement, kind: type, los: tuple, his: tuple,
+                  width: int) -> list:
+    """(kind, x, key, lo, hi) per row of the cells of kind anchored at the
+    integer points with los[k] <= f_k <= his[k]: the cells anchored at
+    (*x, t) for lo <= t <= hi, whose keys at width are key + t.  Coordinate
+    j ranges over its own bounds narrowed, given the coordinates before it,
+    by the forms whose last coordinate it is; the keys are packed as the
+    coordinates are chosen (:meth:`Arrangement.pack`)."""
+    bias, last = 1 << (width - 1), arr.d - 1
+    heads, rows = [((), kind.RANK)], []  # anchor prefixes and their keys
+    for j, (lo_j, hi_j, forms) in enumerate(zip(los, his, arr.last_on)):
         grown = []
-        for x in cells:
+        for x, key in heads:
             lo, hi = lo_j, hi_j
             for k, head, c in forms:  # c * x_j lies in [los[k], his[k]] less the rest
-                rest = sum(map(mul, head, x[1:]))
+                rest = sum(map(mul, head, x))
                 a, b = los[k] - rest, his[k] - rest
                 lo, hi = (max(lo, a), min(hi, b)) if c > 0 else (max(lo, -b), min(hi, -a))
-            grown += [x + (t,) for t in range(lo, hi + 1)]
-        cells = grown
-    return [_cell(kind, x) for x in cells]
+            key = (key << width) + bias
+            if j < last:
+                grown += [(x + (t,), key + t) for t in range(lo, hi + 1)]
+            elif lo <= hi:
+                rows.append((kind, x, key, lo, hi))
+        heads = grown
+    return rows
+
+
+def _rows(p: LatticeSet, width: int) -> list:
+    """The rows of :func:`_lattice_rows` of every kind of cell in p, in
+    cell_sort_key order; a kind whose closure cannot fit in p is skipped
+    before any work."""
+    arr, p_los, p_his = p
+    rows = []
+    for kind, lo, hi in arr.fitting[tuple(map(ne, p_los, p_his))]:
+        rows += _lattice_rows(arr, kind, tuple(map(sub, p_los, lo)),
+                              tuple(map(sub, p_his, hi)), width)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def decompose_runs(p: LatticeSet, width: int) -> tuple:
+    """The cells of p as (start, stop) runs of keys packed at width, which
+    must be at least key_width(reach(p)): one run per kind and row, in key
+    order, which is cell_sort_key order."""
+    return tuple((key + a, key + b + 1) for _, _, key, a, b in _rows(p, width))
 
 
 @lru_cache(maxsize=None)
 def decompose_cells(p: Polytope) -> tuple:
-    """Disjoint canonical cells whose union is exactly p."""
-    if isinstance(p, LatticeSet):  # each kind at each anchor where its closure is in p
-        arr, p_los, p_his = p
-        cells = []
-        for kind, lo, hi in arr.closures:
-            los, his = tuple(map(sub, p_los, lo)), tuple(map(sub, p_his, hi))
-            if not any(map(gt, los, his)):
-                cells += _lattice_cells(arr, kind, los, his)
-        return tuple(cells)
+    """Disjoint canonical cells whose union is exactly p; for a lattice set
+    the runs of :func:`decompose_runs` expanded, in cell_sort_key order."""
+    if isinstance(p, LatticeSet):
+        return tuple(_cell(kind, (kind, *x, t))
+                     for kind, x, _, a, b in _rows(p, key_width(reach(p)))
+                     for t in range(a, b + 1))
     if p.lo == p.hi:
         return (Point1D(p.lo),)
     return (Point1D(p.lo), OpenInterval1D(p.lo, p.hi), Point1D(p.hi))

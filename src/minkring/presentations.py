@@ -21,17 +21,29 @@ line, integer coordinates elsewhere).  The shape's image is built in the
 closed basis: each positive power k of P is the element {kP: 1}, each
 inverse power the signed faces of -kP above, and the factors are multiplied
 with the ring's one closed-basis product before each resulting polytope is
-decomposed into cells once.  Images are cached per shape, so the cache
-holds at most one entry per distinct shape, and a monomial's image is its
-shape's cells moved by the offset.  Every geometric weight is an integer
-(products of +-1 face signs), so the cached images carry ``int`` weights,
-as integral coefficients do (see :mod:`minkring.laurent`): :meth:`phi`
-scales f by D, the lcm of its denominators, sums ``int``s per cell and
-divides by D once, as each nonzero cell of the sum becomes a ``Fraction``
-weight.  A kernel member builds no ``Fraction``, and a witness builds one.
+decomposed once.  Images are cached per shape, so the cache holds at most
+one entry per distinct shape, and a monomial's image is its shape's image
+moved by the offset.  Every geometric weight is an integer (products of +-1
+face signs), so the cached images carry ``int`` weights, as integral
+coefficients do (see :mod:`minkring.laurent`): the image of D * f, D the
+lcm of f's denominators, is summed in ``int``s and divided by D once per
+value :meth:`phi` reports.  A kernel member builds no ``Fraction``, and a
+witness builds one.
+
+On a lattice arrangement an image is a step function over packed cell keys
+(see :mod:`minkring.geometry`), stored as its *delta form*: each run of
+cells with weight w adds w at its start key and -w at its stop key, and
+only the nonzero differences are kept.  A move by the offset is one int
+addition per difference, and a sum of images sums differences.  A step
+function of finite support is zero exactly when all its differences are, so
+:meth:`kernel_member` folds no cell; and below the least key with a nonzero
+difference the image is 0, so that key is the least cell in cell_sort_key
+order where the image is nonzero, and the difference is its value, the
+witness.  Only :meth:`phi` expands the nonzero steps into cells.  The line
+keeps the fold of its point and interval cells.
 
 Kernel membership is decided semantically: map the polynomial through the
-surjection and test the canonical simple function for zero.  Declared
+surjection and test the image for zero.  Declared
 kernel generators are verified this way at construction time, never
 trusted.
 
@@ -107,6 +119,16 @@ def _shifted(image: sf.SimpleFunction, offset):
     return ((geo.shift_cell(c, offset), q) for c, q in image.terms.items())
 
 
+def _steps(deltas: dict):
+    """(start, stop, v) per maximal key interval on which the step function
+    with these nonzero differences is the nonzero v."""
+    keys, v = sorted(deltas), 0
+    for start, stop in zip(keys, keys[1:]):
+        v += deltas[start]
+        if v:
+            yield start, stop, v
+
+
 class Presentation:
     """Immutable generator table plus verified declared kernel generators."""
 
@@ -129,6 +151,7 @@ class Presentation:
         # name -> coordinates of each point generator, a translation
         self._points = {g.name: geo.vertex_coords(g.polytope)
                         for g in generators if geo.dim(g.polytope) == 0}
+        self._line = isinstance(self.ambient, geo.Line)
         self._mono_cache: dict = {}  # shape -> image
         for g in self.declared:
             if not self.kernel_member(g):
@@ -172,16 +195,15 @@ class Presentation:
     def _phi_monomial(self, m) -> sf.SimpleFunction:
         """Image of one monomial, with int weights: the image of its shape,
         moved by its offset."""
-        shape, offset = self._split(m)
-        image = self._shape_image(shape)
-        if offset is None:
-            return image
-        return sf.SimpleFunction._trusted(self.ambient, dict(_shifted(image, offset)))
+        terms, _, width = self._image_ints(LaurentPoly._trusted({m: 1}))
+        return sf.SimpleFunction._trusted(self.ambient, dict(self._weights(terms, width)))
 
-    def _shape_image(self, shape) -> sf.SimpleFunction:
-        """Image of a shape from :meth:`_split`, with int weights.  It is
-        built once, as a signed sum of closed polytopes, and each polytope
-        is decomposed into cells once."""
+    def _shape_image(self, shape):
+        """Image of a shape from :meth:`_split`, with int weights, built once
+        as a signed sum of closed polytopes.  On the line it is the simple
+        function; on an arrangement it is (reach, width, deltas): the nonzero
+        differences of the image as a step function over the cell keys packed
+        at width, the least key_width of the reach of its polytopes."""
         image = self._mono_cache.get(shape)
         if image is None:
             factors = []
@@ -196,40 +218,93 @@ class Presentation:
             # Small factors first keep the intermediate sums few.
             for factor in sorted(factors, key=len):
                 basis = sf.closed_product(basis, factor)
-            image = self._mono_cache[shape] = sf.from_closed(self.ambient, basis)
+            if self._line:
+                image = sf.from_closed(self.ambient, basis)
+            else:
+                reach = max(map(geo.reach, basis))
+                width = geo.key_width(reach)
+                deltas: dict = {}
+                for p, w in basis.items():
+                    for start, stop in geo.decompose_runs(p, width):
+                        deltas[start] = deltas.get(start, 0) + w
+                        deltas[stop] = deltas.get(stop, 0) - w
+                image = reach, width, {k: v for k, v in deltas.items() if v}
+            self._mono_cache[shape] = image
         return image
 
     def _image_ints(self, f: LaurentPoly) -> tuple:
-        """(canonical map of int cell weights, D): the image of D * f, where
-        D is the lcm of f's denominators.  Each term's shape image, moved by
-        its offset, is folded into one map."""
+        """(terms, D, width): the image of D * f, where D is the lcm of f's
+        denominators, folded over f's terms, each the image of its shape
+        moved by its offset.  On the line terms is the canonical map of int
+        cell weights and width is None; on an arrangement it is the nonzero
+        differences of the image over cell keys packed at width, chosen from
+        the reach of every term, and a move is one int addition."""
         den = math.lcm(*(c.denominator for c in f.terms.values()))
+        parts = [(c.numerator * (den // c.denominator), *self._split(m))
+                 for m, c in f.terms.items()]
         acc: dict = {}
-        for m, coeff in f.terms.items():
-            shape, offset = self._split(m)
-            n = coeff.numerator * (den // coeff.denominator)
-            for cell, q in _shifted(self._shape_image(shape), offset):
-                acc[cell] = acc.get(cell, 0) + n * q
-        return sf.canonical_terms(self.ambient, acc), den
+        if self._line:
+            for n, shape, offset in parts:
+                for cell, q in _shifted(self._shape_image(shape), offset):
+                    acc[cell] = acc.get(cell, 0) + n * q
+            return sf.canonical_terms(self.ambient, acc), den, None
+        images = [self._shape_image(shape) for _, shape, _ in parts]
+        reach = max((image[0] + (max(map(abs, offset)) if offset else 0)
+                     for image, (_, _, offset) in zip(images, parts)), default=0)
+        width, arr = geo.key_width(reach), self.ambient
+        for (_, image_width, deltas), (n, _, offset) in zip(images, parts):
+            if image_width != width:
+                deltas = {arr.pack(arr.cells(k, k + 1, image_width)[0], width): v
+                          for k, v in deltas.items()}
+            move = 0
+            for a in offset or ():
+                move = (move << width) + a
+            for k, v in deltas.items():
+                k += move
+                acc[k] = acc.get(k, 0) + n * v
+        return {k: v for k, v in acc.items() if v}, den, width
+
+    def _weights(self, terms: dict, width):
+        """(cell, v) for every cell where the image of :meth:`_image_ints`'s
+        terms is the nonzero v: on an arrangement, its nonzero steps expanded."""
+        if width is None:
+            return terms.items()
+        return ((cell, v) for start, stop, v in _steps(terms)
+                for cell in self.ambient.cells(start, stop, width))
 
     def phi(self, f: LaurentPoly) -> sf.SimpleFunction:
         """Image of f under the surjection, as a canonical simple function:
-        the int fold of :meth:`_image_ints` divided by D once per cell."""
-        terms, den = self._image_ints(f)
-        return sf.SimpleFunction._trusted(
-            self.ambient, {cell: Fraction(v, den) for cell, v in terms.items()})
+        the int fold of :meth:`_image_ints` divided by D once per value."""
+        terms, den, width = self._image_ints(f)
+        out, fraction = {}, {}
+        for cell, v in self._weights(terms, width):
+            q = fraction.get(v)
+            if q is None:
+                q = fraction[v] = Fraction(v, den)
+            out[cell] = q
+        return sf.SimpleFunction._trusted(self.ambient, out)
 
     def kernel_member(self, f: LaurentPoly) -> bool:
-        return sf.is_zero(self.phi(f))
+        """True when the image of f is zero: no nonzero cell weight on the
+        line, no nonzero difference on an arrangement."""
+        return not self._image_ints(f)[0]
 
     def kernel_witness(self, f: LaurentPoly):
         """None when f is in the kernel, else (point, value) with the image
-        nonzero at the point; only the reported value becomes a Fraction."""
-        terms, den = self._image_ints(f)
+        nonzero at the point: the least cell in cell_sort_key order where the
+        image is nonzero.  On an arrangement that is the least key with a
+        nonzero difference, since the image is 0 below it and equals that
+        difference at it.  Only the reported value becomes a Fraction."""
+        terms, den, width = self._image_ints(f)
         if not terms:
             return None
-        cell = min(terms, key=geo.cell_sort_key)
-        return geo.cell_representative(cell), Fraction(terms[cell], den)
+        if width is None:
+            cell = min(terms, key=geo.cell_sort_key)
+            value = terms[cell]
+        else:
+            key = min(terms)
+            cell, value = self.ambient.cells(key, key + 1, width)[0], terms[key]
+        return geo.cell_representative(cell), Fraction(value, den)
 
     # -- description ---------------------------------------------------------
 

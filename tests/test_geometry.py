@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -419,6 +420,89 @@ def test_product_cells_are_the_products_of_the_parts_cells(rng, family):
             assert geo.cell_dim(c) == sum(geo.cell_dim(q) for q in parts)
         for f in geo.faces(p):
             assert geo.dim(f) == sum(geo.dim(q) for q in f.parts)
+
+
+def sampled_table(arr: geo.Arrangement) -> list:
+    """(signature, point) per kind, in rank order, as every arrangement's
+    table was derived before products were built from their parts: each
+    point of (1/N)Z^d in [0, 1)^d, the first coordinate fastest, grouped by
+    signature; kinds ranked by dimension, then first sample; the point is
+    the mean of the samples.  Computed in integers over N."""
+    n, samples = arr.fine, {}
+    for index in itertools.product(range(n), repeat=arr.d):
+        x = index[::-1]
+        values = (sum(c * xi for c, xi in zip(row, x)) for row in arr.forms)
+        samples.setdefault(tuple((v // n, v % n == 0) for v in values), []).append(x)
+    rows = sorted(samples.items(), key=lambda row: arr.dims[tuple(p for _, p in row[0])])
+    return [(sig, tuple(Fraction(sum(c), n * len(xs)) for c in zip(*xs))) for sig, xs in rows]
+
+
+@pytest.mark.parametrize("parts", ["box1*box1", "box1*grid", "grid*grid", "grid*box2",
+                                   "box1*box2*grid", "box2*grid", "box3*grid", "box4*grid"])
+def test_product_table_is_the_sampled_table(parts):
+    arr = geo.product_arrangement(tuple(
+        geo.GRID if part == "grid" else geo.box_arrangement(int(part[3:]))
+        for part in parts.split("*")))
+    assert [(k.SIGNATURE, k.POINT) for k in arr.kinds] == sampled_table(arr)
+    assert [k.RANK for k in arr.kinds] == list(range(len(arr.kinds)))
+    assert len(arr.kinds) == math.prod(len(a.kinds) for a, _ in arr.parts)
+
+
+RUN_FAMILIES = ["box1", "box2", "box3", "box4", "grid", "grid*box1", "box1*grid",
+                "box2*grid", "grid*grid"]
+
+
+@pytest.mark.parametrize("family", RUN_FAMILIES)
+def test_runs_expand_to_the_cells_in_key_order(rng, family):
+    degenerate = 0
+    for _ in range(12):
+        p = draw(rng, family)
+        if rng.random() < 0.3:  # a face: some kinds have no cell in it
+            p = rng.choice(geo.faces(p))
+        arr, width = p.arrangement, geo.key_width(geo.reach(p))
+        degenerate += geo.dim(p) < arr.d
+        runs = geo.decompose_runs(p, width)
+        cells = [c for start, stop in runs for c in arr.cells(start, stop, width)]
+        assert cells == list(geo.decompose_cells(p))
+        assert set(cells) == sampled_cells(p) and len(set(cells)) == len(cells)
+        assert cells == sorted(cells, key=geo.cell_sort_key)
+        keys = [arr.pack(c, width) for c in cells]
+        assert keys == sorted(keys) and len(keys) == sum(b - a for a, b in runs)
+        # a run is one kind and anchor prefix, and runs never touch
+        for start, stop in runs:
+            run = arr.cells(start, stop, width)
+            assert len({(type(c), c[1:-1]) for c in run}) == 1
+        assert all(b < a for (_, b), (a, _) in zip(runs, runs[1:]))
+        wide = geo.decompose_runs(p, width + 32)
+        assert [c for a, b in wide for c in arr.cells(a, b, width + 32)] == cells
+    assert degenerate > 0
+
+
+@pytest.mark.parametrize("family", RUN_FAMILIES)
+def test_pack_round_trip_order_and_translation(rng, family):
+    arr = draw(rng, family).arrangement
+    cells = []
+    for _ in range(40):
+        kind = rng.choice(arr.kinds)
+        scale = rng.choice((1, (1 << 30) - 1, 1 << 30, (1 << 62) - 1, 1 << 70))
+        cells.append(kind(*(rng.randint(-scale, scale) for _ in range(arr.d))))
+    width = geo.key_width(max(abs(a) for c in cells for a in c[1:]))
+    for c in cells:
+        for w in (width, width + 32):
+            key = arr.pack(c, w)
+            assert arr.cells(key, key + 1, w) == [c]
+    keys = [arr.pack(c, width) for c in cells]
+    assert sorted(keys) == [arr.pack(c, width) for c in
+                            sorted(cells, key=geo.cell_sort_key)]
+    # a translation is one int addition while the moved anchors fit
+    offset = tuple(rng.randint(-9, 9) for _ in range(arr.d))
+    move = 0
+    for a in offset:
+        move = (move << width) + a
+    for c in cells:
+        moved = geo.shift_cell(c, offset)
+        if geo.key_width(max(map(abs, moved[1:]))) == width:
+            assert arr.pack(c, width) + move == arr.pack(moved, width)
 
 
 def closure_member(closure, x) -> bool:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -418,3 +419,69 @@ def test_phi_with_rational_coefficients_matches_unsplit_images(ring_id, data):
         assert witness[1] == sf.evaluate_at(expected, witness[0]) != 0
         first = min(image.terms, key=geo.cell_sort_key)
         assert witness == (geo.cell_representative(first), image.terms[first])
+
+
+# -- the packed-key image path against the cell fold it replaced -------------
+
+
+RUN_RINGS = {
+    "coxeter": coxeter_ring,
+    "box:2": lambda: box_ring(2),
+    "box:3:signed": lambda: box_ring(3, signed=True),
+    "product:d1,d2": lambda: product_presentation(box_ring(1, signed=True),
+                                                  coxeter_ring()).combined,
+    "product:d2,d2": lambda: product_presentation(coxeter_ring(), coxeter_ring()).combined,
+}
+
+
+def _cell_fold(ring, f) -> tuple:
+    """(nonzero int weight per cell, D): the image of D * f as the image
+    path folded it before packed keys.  Each term's shape image is its
+    closed basis decomposed into cells, moved cell by cell with shift_cell,
+    and the int weights are summed per cell."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    acc: dict = {}
+    for m, c in f.terms.items():
+        shape, offset = ring._split(m)
+        image = _unsplit_image(ring, shape)
+        for cell, q in image.terms.items():
+            if offset is not None:
+                cell = geo.shift_cell(cell, offset)
+            acc[cell] = acc.get(cell, 0) + c.numerator * (den // c.denominator) * q
+    return {cell: v for cell, v in acc.items() if v}, den
+
+
+@pytest.mark.parametrize("ring_id", sorted(RUN_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_run_path_matches_the_cell_fold(ring_id, data):
+    ring = RUN_RINGS[ring_id]()
+    low = -2 if ring.mode == "laurent" else 0
+    exps = st.dictionaries(st.sampled_from(ring.names()), st.integers(low, 2), max_size=3)
+    coeffs = st.one_of(st.integers(-3, 3).filter(bool),
+                       st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                                 st.integers(2, 6)))
+    f = LaurentPoly({})
+    for m, c in data.draw(st.lists(st.tuples(exps, coeffs), max_size=3)):
+        f = f + LaurentPoly.term(m, c)
+    if data.draw(st.booleans()):  # a member: an ideal element
+        f = f * data.draw(st.sampled_from(ring.declared))
+        if data.draw(st.booleans()):  # ... and a non-member
+            f = f + LaurentPoly.term(data.draw(exps), data.draw(coeffs))
+    points = _point_names(ring)
+    if data.draw(st.booleans()):  # a translation beyond 2^64
+        far = data.draw(st.sampled_from(((1 << 31) - 1, (1 << 63) - 2, 1 << 64,
+                                         (1 << 64) + 3, 1 << 70, 3 ** 50)))
+        sign = data.draw(st.sampled_from((1, -1))) if ring.mode == "laurent" else 1
+        f = f * LaurentPoly.term({data.draw(st.sampled_from(points)): sign * far})
+    terms, den = _cell_fold(ring, f)
+    assert ring.kernel_member(f) == (not terms)
+    if terms:
+        first = min(terms, key=geo.cell_sort_key)
+        assert ring.kernel_witness(f) == (geo.cell_representative(first),
+                                          Fraction(terms[first], den))
+    else:
+        assert ring.kernel_witness(f) is None
+    image = ring.phi(f)
+    assert image.terms == {cell: Fraction(v, den) for cell, v in terms.items()}
+    assert all(type(q) is Fraction for q in image.terms.values())
