@@ -18,13 +18,16 @@ intersection and containment act on the bounds alone, through
 ``rebuild(los, his)``, which tightens a lattice system once; a proper face
 pins a form to one of its bounds.
 
-Every polytope decomposes canonically into relatively open cells: points
-and open intervals on the line, and lattice cells.  The integer level sets
-of an arrangement's forms cut R^d into cells, each the points of one
-signature (per form, its floor and whether it is integral) and each holding
-a fine lattice point, so an arrangement derives its table of cell kinds
-once by sampling [0, 1)^d (a product takes the tuples of its parts' kinds),
-and a lattice set decomposes by translating the table.
+Every polytope decomposes canonically into relatively open cells, in the
+key order of its ambient, as *runs*: ``(start, stop)`` ranges of keys
+(``runs``, expanded by ``cells``).  On the line the cells are points and
+open intervals, a key is ``(t, 0)`` for the point t or ``(t, 1)`` for the
+open interval right of t, ordered as tuples, [a, b] is the run from (a, 0)
+to (b, 1), and a translation adds to t.  The integer level sets of an
+arrangement's forms cut R^d into cells, each the points of one signature
+(per form, its floor and whether it is integral) and each holding a fine
+lattice point, so an arrangement derives its table of cell kinds once by
+sampling [0, 1)^d (a product takes the tuples of its parts' kinds).
 
 A lattice cell ``(kind, a_0, ..., a_{d-1})`` packs into one int key
 (:meth:`Arrangement.pack`): the kind's RANK, then each a_j + 2^(w-1) in a
@@ -33,10 +36,9 @@ int order is :func:`cell_sort_key` order, and a translation by o adds the
 int sum of o_j * 2^(w(d-1-j)), with no carry while every field stays in
 range; :func:`key_width` picks w from the largest coordinate.  The cells of
 one kind whose anchors share a_0 .. a_{d-2} have consecutive a_{d-1}, so a
-lattice set decomposes into *runs*, ``(start, stop)`` ranges of keys
-(:func:`decompose_runs`): O(n) of them for a polygon of side n against
-O(n^2) cells.  Empty systems and non-integral lattice coordinates are
-rejected.  All values are immutable.
+lattice set has one run per kind and row (:func:`decompose_runs`): O(n) of
+them for a polygon of side n against O(n^2) cells.  Empty systems and
+non-integral lattice coordinates are rejected.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -74,9 +76,45 @@ def _lattice(x) -> int:
 
 @dataclass(frozen=True)
 class Line:
-    """The real line with a scalar mode: 'rational' or 'sqrt2'."""
+    """The real line with a scalar mode: 'rational' or 'sqrt2'.  Its keys
+    are not packed, so every key width is 0."""
 
     mode: str = "rational"
+
+    def width(self, *reach) -> int:
+        return 0
+
+    reach = width
+
+    def runs(self, p: "Interval", width: int) -> tuple:
+        return (((p.lo, 0), (p.hi, 1)),)
+
+    def cells(self, start: tuple, stop: tuple, width: int) -> list:
+        """The cells of the keys start <= k < stop, with no breakpoint
+        between them: the point s, the open interval, the point t."""
+        (s, right_of_s), (t, past_t) = start, stop
+        cells = [] if right_of_s else [Point1D(s)]
+        if s != t:
+            cells += [OpenInterval1D(s, t), Point1D(t)][:1 + past_t]
+        return cells
+
+    def fold(self, acc: dict, n, deltas: dict, offset, width: int) -> None:
+        """acc += n * deltas, each key moved by the scalar offset (or None)."""
+        items = deltas.items() if offset is None else (
+            ((t + offset, e), v) for (t, e), v in deltas.items())
+        for k, v in items:
+            acc[k] = acc.get(k, 0) + n * v
+
+    def least(self, deltas: dict, width: int) -> tuple:
+        """(cell, value) of the least cell in cell_sort_key order where the
+        step function with these differences is nonzero: points first,
+        ordered by (p, q), not by value."""
+        return min(((c, v) for start, stop, v in steps(deltas)
+                    for c in self.cells(start, stop, width)),
+                   key=lambda cell_value: cell_sort_key(cell_value[0]))
+
+    def key_at(self, x, width: int) -> tuple:
+        return Scalar.of(x), 0
 
 
 def _rank(rows) -> int:
@@ -89,13 +127,72 @@ def _rank(rows) -> int:
                       for r in rows[1:]])
 
 
+def key_width(reach: int) -> int:
+    """The field width of packed cell keys, a multiple of 32 bits, for anchor
+    coordinates a with |a| <= reach: every field a + 2^(width - 1), and a
+    run's stop at reach + 1, lies strictly between 0 and 2^width - 1.  So
+    keys whose anchors stay within reach add without a carry from one field
+    into the next, and runs of different anchor prefixes never meet."""
+    return 32 * ((reach.bit_length() + 33) // 32)
+
+
+@lru_cache(maxsize=None)
+def reach(p: LatticeSet) -> int:
+    """The largest absolute coordinate of p, which bounds its cells' anchors
+    (cached: every fold of a closed basis reads it)."""
+    d = p[0].d
+    return max(map(abs, p[1][:d] + p[2][:d]))
+
+
+def _lattice_runs(arr: Arrangement, kind: type, los: tuple, his: tuple,
+                  width: int) -> list:
+    """The keys at width of the cells of kind anchored at the integer points
+    with los[k] <= f_k <= his[k], one (start, stop) run per row (*x, t),
+    lo <= t <= hi.  Coordinate j ranges over its own bounds narrowed, given
+    the coordinates before it, by the forms whose last coordinate it is; the
+    keys are packed as the coordinates are chosen (:meth:`Arrangement.pack`)."""
+    bias, last = 1 << (width - 1), arr.d - 1
+    heads, runs = [((), kind.RANK)], []  # anchor prefixes and their keys
+    for j, (lo_j, hi_j, forms) in enumerate(zip(los, his, arr.last_on)):
+        grown = []
+        for x, key in heads:
+            lo, hi = lo_j, hi_j
+            for k, head, c in forms:  # c * x_j lies in [los[k], his[k]] less the rest
+                rest = sum(map(mul, head, x))
+                a, b = los[k] - rest, his[k] - rest
+                lo, hi = (max(lo, a), min(hi, b)) if c > 0 else (max(lo, -b), min(hi, -a))
+            key = (key << width) + bias
+            if j < last:
+                grown += [(x + (t,), key + t) for t in range(lo, hi + 1)]
+            elif lo <= hi:
+                runs.append((key + lo, key + hi + 1))
+        heads = grown
+    return runs
+
+
+@lru_cache(maxsize=None)
+def decompose_runs(p: LatticeSet, width: int) -> tuple:
+    """The cells of p as (start, stop) runs of keys packed at width, at
+    least key_width(reach(p)): one run per kind and row, in key order, which
+    is cell_sort_key order; kinds whose closure cannot fit in p are skipped."""
+    arr, p_los, p_his = p
+    runs = []
+    for kind, lo, hi in arr.fitting[tuple(map(ne, p_los, p_his))]:
+        runs += _lattice_runs(arr, kind, tuple(map(sub, p_los, lo)),
+                              tuple(map(sub, p_his, hi)), width)
+    return tuple(runs)
+
+
 class Arrangement:
     """Integer linear forms on R^d with coefficients -1, 0 or 1, the
     coordinates first, and the fine lattice (1/N)Z^d, which holds a point of
     every cell.  ``name`` and ``labels`` (one per form, or none) spell its
     lattice sets, of class ``family``, and cells.  A product arrangement
     lists its ``parts``, each an arrangement and the indices of its forms.
-    It is the ambient space of its lattice sets; equality is identity."""
+    It is the ambient space of its lattice sets; equality is identity.  It
+    has no scalar ``mode``: its cells close without one."""
+
+    mode = None
 
     def __init__(self, name: str, labels: tuple, forms: tuple, fine: int,
                  family: type, cell_names: tuple = (), parts: tuple = ()):
@@ -173,20 +270,54 @@ class Arrangement:
         """The cells of the keys start <= k < stop, which must differ in the
         last field only: one kind and anchor prefix, consecutive last
         coordinates."""
-        mask, bias, key = (1 << width) - 1, 1 << (width - 1), start
-        anchor = []
-        for _ in range(self.d):
-            anchor.append((key & mask) - bias)
+        mask, bias, key = (1 << width) - 1, 1 << (width - 1), start >> width
+        first, head = (start & mask) - bias, ()
+        for _ in range(self.d - 1):
+            head = ((key & mask) - bias,) + head
             key >>= width
-        kind, first = self.kinds[key], anchor.pop(0)
-        prefix = tuple(reversed(anchor))
-        return [_cell(kind, (kind, *prefix, t)) for t in range(first, first + stop - start)]
+        kind = self.kinds[key]
+        head = (kind,) + head
+        return [_cell(kind, head + (t,)) for t in range(first, first + stop - start)]
+
+    runs = staticmethod(decompose_runs)
+
+    def reach(self, polytopes) -> int:
+        return max(map(reach, polytopes), default=0)
+
+    def width(self, reach: int, offsets=()) -> int:
+        """The key width for anchors within reach, moved by any of offsets."""
+        moves = itertools.chain.from_iterable(offsets)
+        return key_width(reach + max(map(abs, moves), default=0))
+
+    def fold(self, acc: dict, n, deltas: dict, offset, width: int) -> None:
+        """acc += n * deltas, each key moved by the coordinate tuple offset
+        (or None): one int addition."""
+        move = 0
+        for a in offset or ():
+            move = (move << width) + a
+        for k, v in deltas.items():
+            k += move
+            acc[k] = acc.get(k, 0) + n * v
+
+    def least(self, deltas: dict, width: int) -> tuple:
+        """(cell, value) of the least key with a nonzero difference: the step
+        function is 0 below it, so that cell comes first in cell_sort_key order."""
+        key = min(deltas)
+        return self.cells(key, key + 1, width)[0], deltas[key]
+
+    def key_at(self, x, width: int) -> int:
+        """The key of the cell holding x, or -1, below every key, when that
+        cell's anchor does not fit in width."""
+        cell = cell_at(self, x)
+        return self.pack(cell, width) if key_width(max(map(abs, cell[1:]))) <= width else -1
 
     def __repr__(self) -> str:
         return f"Arrangement({self.name}, d={self.d})"
 
     def values(self, x) -> tuple:
-        """The forms evaluated at a point."""
+        """The forms evaluated at a point, which must have d coordinates."""
+        if len(x) != self.d:
+            raise ValueError(f"a {self.name} point has {self.d} coordinates, got {len(x)}")
         return tuple(sum(map(mul, row, x)) for row in self.forms)
 
     def signature(self, x) -> tuple:
@@ -669,76 +800,21 @@ def cell_contains(c: Cell, x) -> bool:
     return t == c.at if isinstance(c, Point1D) else c.lo < t < c.hi
 
 
-def key_width(reach: int) -> int:
-    """The field width of packed cell keys, a multiple of 32 bits, for anchor
-    coordinates a with |a| <= reach: every field a + 2^(width - 1), and a
-    run's stop at reach + 1, lies strictly between 0 and 2^width - 1.  So
-    keys whose anchors stay within reach add without a carry from one field
-    into the next, and runs of different anchor prefixes never meet."""
-    return 32 * ((reach.bit_length() + 33) // 32)
-
-
-def reach(p: LatticeSet) -> int:
-    """The largest absolute coordinate of p, which bounds its cells' anchors."""
-    d = p[0].d
-    return max(map(abs, p[1][:d] + p[2][:d]))
-
-
-def _lattice_rows(arr: Arrangement, kind: type, los: tuple, his: tuple,
-                  width: int) -> list:
-    """(kind, x, key, lo, hi) per row of the cells of kind anchored at the
-    integer points with los[k] <= f_k <= his[k]: the cells anchored at
-    (*x, t) for lo <= t <= hi, whose keys at width are key + t.  Coordinate
-    j ranges over its own bounds narrowed, given the coordinates before it,
-    by the forms whose last coordinate it is; the keys are packed as the
-    coordinates are chosen (:meth:`Arrangement.pack`)."""
-    bias, last = 1 << (width - 1), arr.d - 1
-    heads, rows = [((), kind.RANK)], []  # anchor prefixes and their keys
-    for j, (lo_j, hi_j, forms) in enumerate(zip(los, his, arr.last_on)):
-        grown = []
-        for x, key in heads:
-            lo, hi = lo_j, hi_j
-            for k, head, c in forms:  # c * x_j lies in [los[k], his[k]] less the rest
-                rest = sum(map(mul, head, x))
-                a, b = los[k] - rest, his[k] - rest
-                lo, hi = (max(lo, a), min(hi, b)) if c > 0 else (max(lo, -b), min(hi, -a))
-            key = (key << width) + bias
-            if j < last:
-                grown += [(x + (t,), key + t) for t in range(lo, hi + 1)]
-            elif lo <= hi:
-                rows.append((kind, x, key, lo, hi))
-        heads = grown
-    return rows
-
-
-def _rows(p: LatticeSet, width: int) -> list:
-    """The rows of :func:`_lattice_rows` of every kind of cell in p, in
-    cell_sort_key order; a kind whose closure cannot fit in p is skipped
-    before any work."""
-    arr, p_los, p_his = p
-    rows = []
-    for kind, lo, hi in arr.fitting[tuple(map(ne, p_los, p_his))]:
-        rows += _lattice_rows(arr, kind, tuple(map(sub, p_los, lo)),
-                              tuple(map(sub, p_his, hi)), width)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def decompose_runs(p: LatticeSet, width: int) -> tuple:
-    """The cells of p as (start, stop) runs of keys packed at width, which
-    must be at least key_width(reach(p)): one run per kind and row, in key
-    order, which is cell_sort_key order."""
-    return tuple((key + a, key + b + 1) for _, _, key, a, b in _rows(p, width))
-
-
 @lru_cache(maxsize=None)
 def decompose_cells(p: Polytope) -> tuple:
-    """Disjoint canonical cells whose union is exactly p; for a lattice set
-    the runs of :func:`decompose_runs` expanded, in cell_sort_key order."""
-    if isinstance(p, LatticeSet):
-        return tuple(_cell(kind, (kind, *x, t))
-                     for kind, x, _, a, b in _rows(p, key_width(reach(p)))
-                     for t in range(a, b + 1))
-    if p.lo == p.hi:
-        return (Point1D(p.lo),)
-    return (Point1D(p.lo), OpenInterval1D(p.lo, p.hi), Point1D(p.hi))
+    """Disjoint canonical cells whose union is exactly p: its runs in its
+    ambient expanded, in key order (cell_sort_key order on an arrangement)."""
+    ambient = ambient_of(p)
+    width = ambient.width(ambient.reach((p,)))
+    return tuple(c for start, stop in ambient.runs(p, width)
+                 for c in ambient.cells(start, stop, width))
+
+
+def steps(deltas: dict):
+    """(start, stop, v) per maximal key interval on which the step function
+    with these nonzero differences is the nonzero v."""
+    keys, v = sorted(deltas), 0
+    for start, stop in zip(keys, keys[1:]):
+        v += deltas[start]
+        if v:
+            yield start, stop, v

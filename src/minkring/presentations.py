@@ -20,30 +20,20 @@ splits into a *shape*, its factors on the other generators, and an
 line, integer coordinates elsewhere).  The shape's image is built in the
 closed basis: each positive power k of P is the element {kP: 1}, each
 inverse power the signed faces of -kP above, and the factors are multiplied
-with the ring's one closed-basis product before each resulting polytope is
-decomposed once.  Images are cached per shape, so the cache holds at most
-one entry per distinct shape, and a monomial's image is its shape's image
-moved by the offset.  Every geometric weight is an integer (products of +-1
-face signs), so the cached images carry ``int`` weights, as integral
-coefficients do (see :mod:`minkring.laurent`): the image of D * f, D the
-lcm of f's denominators, is summed in ``int``s and divided by D once per
-value :meth:`phi` reports.  A kernel member builds no ``Fraction``, and a
-witness builds one.
-
-On a lattice arrangement an image is a step function over packed cell keys
-(see :mod:`minkring.geometry`), stored as its *delta form*: each run of
-cells with weight w adds w at its start key and -w at its stop key, and
-only the nonzero differences are kept.  A move by the offset is one int
-addition per difference, and a sum of images sums differences.  A step
-function of finite support is zero exactly when all its differences are, so
-:meth:`kernel_member` folds no cell; and below the least key with a nonzero
-difference the image is 0, so that key is the least cell in cell_sort_key
-order where the image is nonzero, and the difference is its value, the
-witness.  Only :meth:`phi` expands the nonzero steps into cells.  The line
-keeps the fold of its point and interval cells.
+with the ring's one closed-basis product before the runs of each resulting
+polytope are folded once (:func:`minkring.simplefn.from_closed`).  Images
+are cached per shape, so the cache holds at most one entry per distinct
+shape, and a monomial's image is its shape's image moved by the offset, one
+addition per delta of its step form.  Every geometric weight is an integer
+(products of +-1 face signs), so the cached images carry ``int`` weights,
+as integral coefficients do (see :mod:`minkring.laurent`): the image of
+D * f, D the lcm of f's denominators, is summed in ``int``s and divided by
+D once per value :meth:`phi` reports.
 
 Kernel membership is decided semantically: map the polynomial through the
-surjection and test the image for zero.  Declared
+surjection and test the image for zero, which reads its deltas and folds
+no cell; :meth:`kernel_witness` asks the ambient for the least cell where
+the image is nonzero, and only its value becomes a ``Fraction``.  Declared
 kernel generators are verified this way at construction time, never
 trusted.
 
@@ -60,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import geometry as geo
@@ -112,23 +102,6 @@ def _offset(moves):
     return sum(map(mul, exps, points))
 
 
-def _shifted(image: sf.SimpleFunction, offset):
-    """(cell, weight) pairs of image moved by offset (None: unmoved)."""
-    if offset is None:
-        return image.terms.items()
-    return ((geo.shift_cell(c, offset), q) for c, q in image.terms.items())
-
-
-def _steps(deltas: dict):
-    """(start, stop, v) per maximal key interval on which the step function
-    with these nonzero differences is the nonzero v."""
-    keys, v = sorted(deltas), 0
-    for start, stop in zip(keys, keys[1:]):
-        v += deltas[start]
-        if v:
-            yield start, stop, v
-
-
 class Presentation:
     """Immutable generator table plus verified declared kernel generators."""
 
@@ -151,7 +124,6 @@ class Presentation:
         # name -> coordinates of each point generator, a translation
         self._points = {g.name: geo.vertex_coords(g.polytope)
                         for g in generators if geo.dim(g.polytope) == 0}
-        self._line = isinstance(self.ambient, geo.Line)
         self._mono_cache: dict = {}  # shape -> image
         for g in self.declared:
             if not self.kernel_member(g):
@@ -193,19 +165,15 @@ class Presentation:
         return tuple(shape), (_offset(moves) if moves else None)
 
     def _phi_monomial(self, m) -> sf.SimpleFunction:
-        """Image of one monomial, with int weights: the image of its shape,
-        moved by its offset."""
-        terms, _, width = self._image_ints(LaurentPoly._trusted({m: 1}))
-        return sf.SimpleFunction._trusted(self.ambient, dict(self._weights(terms, width)))
+        """Image of one monomial, with int weights: its shape's, moved."""
+        deltas, _, width = self._image_ints(LaurentPoly._trusted({m: 1}))
+        return sf.SimpleFunction._trusted(self.ambient, width, deltas)
 
-    def _shape_image(self, shape):
-        """Image of a shape from :meth:`_split`, with int weights, built once
-        as a signed sum of closed polytopes.  On the line it is the simple
-        function; on an arrangement it is (reach, width, deltas): the nonzero
-        differences of the image as a step function over the cell keys packed
-        at width, the least key_width of the reach of its polytopes."""
-        image = self._mono_cache.get(shape)
-        if image is None:
+    def _shape_image(self, shape) -> tuple:
+        """(reach, image) of a shape from :meth:`_split`: its int-weight image,
+        built once as a signed sum of closed polytopes, and their reach."""
+        entry = self._mono_cache.get(shape)
+        if entry is None:
             factors = []
             for name, exp in shape:
                 dilated = geo.scale(self.generators[name].polytope, abs(exp))
@@ -218,92 +186,45 @@ class Presentation:
             # Small factors first keep the intermediate sums few.
             for factor in sorted(factors, key=len):
                 basis = sf.closed_product(basis, factor)
-            if self._line:
-                image = sf.from_closed(self.ambient, basis)
-            else:
-                reach = max(map(geo.reach, basis))
-                width = geo.key_width(reach)
-                deltas: dict = {}
-                for p, w in basis.items():
-                    for start, stop in geo.decompose_runs(p, width):
-                        deltas[start] = deltas.get(start, 0) + w
-                        deltas[stop] = deltas.get(stop, 0) - w
-                image = reach, width, {k: v for k, v in deltas.items() if v}
-            self._mono_cache[shape] = image
-        return image
+            entry = self.ambient.reach(basis), sf.from_closed(self.ambient, basis)
+            self._mono_cache[shape] = entry
+        return entry
 
     def _image_ints(self, f: LaurentPoly) -> tuple:
-        """(terms, D, width): the image of D * f, where D is the lcm of f's
-        denominators, folded over f's terms, each the image of its shape
-        moved by its offset.  On the line terms is the canonical map of int
-        cell weights and width is None; on an arrangement it is the nonzero
-        differences of the image over cell keys packed at width, chosen from
-        the reach of every term, and a move is one int addition."""
+        """(deltas, D, width): the nonzero int deltas of the image of D * f, D the
+        lcm of f's denominators: the shape images of f's terms, moved by their
+        offsets and folded at a key width for every term's reach."""
         den = math.lcm(*(c.denominator for c in f.terms.values()))
         parts = [(c.numerator * (den // c.denominator), *self._split(m))
                  for m, c in f.terms.items()]
-        acc: dict = {}
-        if self._line:
-            for n, shape, offset in parts:
-                for cell, q in _shifted(self._shape_image(shape), offset):
-                    acc[cell] = acc.get(cell, 0) + n * q
-            return sf.canonical_terms(self.ambient, acc), den, None
         images = [self._shape_image(shape) for _, shape, _ in parts]
-        reach = max((image[0] + (max(map(abs, offset)) if offset else 0)
-                     for image, (_, _, offset) in zip(images, parts)), default=0)
-        width, arr = geo.key_width(reach), self.ambient
-        for (_, image_width, deltas), (n, _, offset) in zip(images, parts):
-            if image_width != width:
-                deltas = {arr.pack(arr.cells(k, k + 1, image_width)[0], width): v
-                          for k, v in deltas.items()}
-            move = 0
-            for a in offset or ():
-                move = (move << width) + a
-            for k, v in deltas.items():
-                k += move
-                acc[k] = acc.get(k, 0) + n * v
+        ambient = self.ambient
+        width = ambient.width(max(map(itemgetter(0), images), default=0),
+                              [offset for _, _, offset in parts if offset])
+        acc: dict = {}
+        for (_, image), (n, _, offset) in zip(images, parts):
+            ambient.fold(acc, n, sf._deltas_at(image, width), offset, width)
         return {k: v for k, v in acc.items() if v}, den, width
-
-    def _weights(self, terms: dict, width):
-        """(cell, v) for every cell where the image of :meth:`_image_ints`'s
-        terms is the nonzero v: on an arrangement, its nonzero steps expanded."""
-        if width is None:
-            return terms.items()
-        return ((cell, v) for start, stop, v in _steps(terms)
-                for cell in self.ambient.cells(start, stop, width))
 
     def phi(self, f: LaurentPoly) -> sf.SimpleFunction:
         """Image of f under the surjection, as a canonical simple function:
-        the int fold of :meth:`_image_ints` divided by D once per value."""
-        terms, den, width = self._image_ints(f)
-        out, fraction = {}, {}
-        for cell, v in self._weights(terms, width):
-            q = fraction.get(v)
-            if q is None:
-                q = fraction[v] = Fraction(v, den)
-            out[cell] = q
-        return sf.SimpleFunction._trusted(self.ambient, out)
+        the int deltas of :meth:`_image_ints` divided by D once per value."""
+        deltas, den, width = self._image_ints(f)
+        fraction = {v: Fraction(v, den) for v in set(deltas.values())}
+        return sf.SimpleFunction._trusted(self.ambient, width,
+                                          {k: fraction[v] for k, v in deltas.items()})
 
     def kernel_member(self, f: LaurentPoly) -> bool:
-        """True when the image of f is zero: no nonzero cell weight on the
-        line, no nonzero difference on an arrangement."""
+        """True when the image of f is zero: it has no nonzero delta."""
         return not self._image_ints(f)[0]
 
     def kernel_witness(self, f: LaurentPoly):
-        """None when f is in the kernel, else (point, value) with the image
-        nonzero at the point: the least cell in cell_sort_key order where the
-        image is nonzero.  On an arrangement that is the least key with a
-        nonzero difference, since the image is 0 below it and equals that
-        difference at it.  Only the reported value becomes a Fraction."""
-        terms, den, width = self._image_ints(f)
-        if not terms:
+        """None when f is in the kernel, else (point, value): the least cell in
+        cell_sort_key order where the image is nonzero, found from the deltas."""
+        deltas, den, width = self._image_ints(f)
+        if not deltas:
             return None
-        if width is None:
-            cell = min(terms, key=geo.cell_sort_key)
-            value = terms[cell]
-        else:
-            key = min(terms)
-            cell, value = self.ambient.cells(key, key + 1, width)[0], terms[key]
+        cell, value = self.ambient.least(deltas, width)
         return geo.cell_representative(cell), Fraction(value, den)
 
     # -- description ---------------------------------------------------------

@@ -1,9 +1,16 @@
 """The semantic ring of simple functions.
 
 A :class:`SimpleFunction` is a finite rational combination of indicator
-functions of canonical cells of one ambient space.  The open cells are the
-storage basis, so two functions are equal on the ambient space exactly when
-their term maps coincide; the zero test is a lookup.
+functions of canonical cells of one ambient space, held in one form on
+every ambient: the step function over the ambient's cell keys (see
+:mod:`minkring.geometry`) stored as its nonzero *deltas*, the change of
+value at each key, at one key width.  A run of cells with weight w adds w
+at its start key and -w at its stop key.  Deltas are unique at a width, so
+two functions are equal exactly when their deltas are, the narrower
+repacked to the wider width, and the zero test reads no cell.  ``terms``,
+each cell of a nonzero step with its value, is built once per function.
+On the line the nonzero steps are the canonical maximal open runs of
+constant value plus point corrections.
 
 Closed indicators live one conversion away.  A closed-basis element maps
 closed convex polytopes to rational weights; inclusion-exclusion over the
@@ -13,30 +20,25 @@ face lattice,
 
 rewrites any open cell in that basis.  The ring's one product, [P]*[Q] =
 [P+Q] extended bilinearly, is :func:`closed_product`, and :func:`from_closed`
-decomposes each polytope of a closed-basis element into cells once; every
+folds the runs of each polytope of a closed-basis element; every
 multiplication goes through the two.
 
-On the 1-D ambient with free endpoints the cell structure is not a fixed
-partition, so functions are re-canonicalized after every operation by one
-sweep over the breakpoints: maximal open intervals of constant nonzero
-value, plus point corrections.
-
 The trusted constructor ``SimpleFunction._trusted`` neither copies nor
-re-wraps its dict.  Its invariant: every weight is nonzero, the map is
-canonical (:func:`canonical_terms`) and the new function alone owns it.
-Public results carry ``Fraction`` weights; weights inside the library may
-be ``int``s, as integral Laurent coefficients are under the coefficient rule
-of :mod:`minkring.laurent`, and compare and hash like the equal Fractions.
+re-wraps its dict.  Its invariant: every delta is nonzero, the keys are at
+the given width, and the new function alone owns the dict.  Public results
+carry ``Fraction`` weights; weights inside the library may be ``int``s, as
+integral Laurent coefficients are under the coefficient rule of
+:mod:`minkring.laurent`, and compare and hash like the equal Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import geometry as geo
-from .geometry import (Ambient, Cell, Line, OpenInterval1D, Point1D, Polytope,
-                       cell_closure, cell_contains, cell_dim, cell_sort_key)
+from .geometry import Ambient, Cell, Line, Polytope, cell_dim, cell_sort_key
 
 
 class AmbientMismatchError(ValueError):
@@ -44,90 +46,87 @@ class AmbientMismatchError(ValueError):
 
 
 def _canonical_line_terms(terms: Mapping[Cell, Fraction]) -> dict:
-    """Canonical form on the line: maximal constant open runs + residual points.
-    A run continues through a breakpoint t while the values left of t, at t
-    and right of t are equal and nonzero."""
-    at: dict = {}
-    opens: dict = {}
-    closes: dict = {}
-    for c, q in terms.items():
-        if isinstance(c, Point1D):
-            at[c.at] = at.get(c.at, 0) + q
-        else:
-            opens[c.lo] = opens.get(c.lo, 0) + q
-            closes[c.hi] = closes.get(c.hi, 0) + q
-    out: dict = {}
-    left, start = 0, None
-    for t in sorted(at.keys() | opens.keys() | closes.keys()):
-        through = left - closes.get(t, 0)
-        value, right = through + at.get(t, 0), through + opens.get(t, 0)
-        if left and left == value == right:
-            continue
-        if left:
-            out[OpenInterval1D(start, t)] = left
-        if value:
-            out[Point1D(t)] = value
-        left, start = right, t
-    return out
+    """Canonical form on the line: maximal constant open runs + residual
+    points, the cells of the nonzero steps of the line's step form."""
+    return SimpleFunction(Line("sqrt2"), terms).terms
 
 
 class SimpleFunction:
-    """Finite rational combination of cell indicators on one ambient space."""
+    """Finite rational combination of cell indicators on one ambient space,
+    as the nonzero deltas of its step function over cell keys."""
 
-    __slots__ = ("ambient", "_terms")
+    __slots__ = ("ambient", "width", "deltas", "_terms")
 
     def __init__(self, ambient: Ambient, terms: Mapping[Cell, Fraction] | None = None):
-        self.ambient = ambient
-        self._terms = canonical_terms(
-            ambient, {c: Fraction(q) for c, q in terms.items()}) if terms else {}
+        terms = {c: Fraction(q) for c, q in (terms or {}).items()}
+        fn = from_closed(ambient, _basis(ambient, terms))
+        self.ambient, self.width, self.deltas = ambient, fn.width, fn.deltas
+        self._terms = None
 
     @classmethod
-    def _trusted(cls, ambient: Ambient, terms: dict) -> "SimpleFunction":
-        """Wrap a canonical dict of nonzero weights; the caller hands it over."""
+    def _trusted(cls, ambient: Ambient, width: int, deltas: dict) -> "SimpleFunction":
+        """Wrap nonzero deltas at a key width; the caller hands the dict over."""
         fn = object.__new__(cls)
-        fn.ambient, fn._terms = ambient, terms
+        fn.ambient, fn.width, fn.deltas, fn._terms = ambient, width, deltas, None
         return fn
 
     @property
     def terms(self) -> Mapping[Cell, Fraction]:
+        """The nonzero value of every cell: the nonzero steps expanded."""
+        if self._terms is None:
+            ambient, width = self.ambient, self.width
+            self._terms = {c: v for start, stop, v in geo.steps(self.deltas)
+                           for c in ambient.cells(start, stop, width)}
         return self._terms
-
-    def cells(self) -> list:
-        return sorted(self._terms, key=cell_sort_key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleFunction):
             return NotImplemented
-        return self.ambient == other.ambient and self._terms == other._terms
+        width = max(self.width, other.width)
+        return (self.ambient == other.ambient
+                and _deltas_at(self, width) == _deltas_at(other, width))
 
     def __hash__(self) -> int:
-        return hash((self.ambient, frozenset(self._terms.items())))
+        return hash((self.ambient, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.deltas)
 
     def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
-        return combine([1, 1], [self, other])
+        return _linear(self, other, 1)
 
     def __sub__(self, other: "SimpleFunction") -> "SimpleFunction":
-        return combine([1, -1], [self, other])
+        return _linear(self, other, -1)
 
     def __neg__(self) -> "SimpleFunction":
-        return SimpleFunction(self.ambient, {c: -q for c, q in self._terms.items()})
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return SimpleFunction(self.ambient,
-                                  {c: q * f for c, q in self._terms.items()})
-        return multiply(self, other)
+            q = Fraction(other)
+            deltas = {k: v * q for k, v in self.deltas.items()} if q else {}
+            return SimpleFunction._trusted(self.ambient, self.width, deltas)
+        return multiply(self, other) if isinstance(other, type(self)) else NotImplemented
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         body = ", ".join(f"{c}: {q}" for c, q in sorted(
-            self._terms.items(), key=lambda it: cell_sort_key(it[0])))
+            self.terms.items(), key=lambda it: cell_sort_key(it[0])))
         return f"SimpleFunction({{{body}}})"
+
+
+def _linear(f: SimpleFunction, g, sign: int):
+    """f + sign * g, or NotImplemented when g is not a simple function."""
+    return combine([1, sign], [f, g]) if isinstance(g, SimpleFunction) else NotImplemented
+
+
+def _deltas_at(f: SimpleFunction, width: int) -> dict:
+    """f's deltas at a key width at least f's, repacked when it differs."""
+    if f.width == width:
+        return f.deltas
+    return {f.ambient.pack(f.ambient.cells(k, k + 1, f.width)[0], width): v
+            for k, v in f.deltas.items()}
 
 
 def zero(ambient: Ambient) -> SimpleFunction:
@@ -154,28 +153,37 @@ def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
         raise ValueError("combine needs one coefficient per function")
     if not fns:
         raise ValueError("combine needs at least one function")
-    ambient = fns[0].ambient
+    ambient, width = fns[0].ambient, max(f.width for f in fns)
     acc: dict = {}
     for q, f in zip(coeffs, fns):
         if f.ambient != ambient:
             raise AmbientMismatchError(f"{f.ambient} vs {ambient}")
-        q = Fraction(q)
-        if not q:
-            continue
-        for cell, coeff in f.terms.items():
-            acc[cell] = acc.get(cell, 0) + q * coeff
-    return SimpleFunction._trusted(ambient, canonical_terms(ambient, acc))
+        if q:
+            ambient.fold(acc, Fraction(q), _deltas_at(f, width), None, width)
+    return SimpleFunction._trusted(ambient, width, {k: v for k, v in acc.items() if v})
+
+
+@lru_cache(maxsize=None)
+def _cell_faces(cell: Cell, mode) -> tuple:
+    """(face, sign) pairs of [cell] in the closed basis: inclusion-exclusion
+    over the faces of its closure, which on the line takes the line's mode."""
+    return geo.relint_faces(geo.cell_closure(cell, mode))
+
+
+def _basis(ambient: Ambient, terms: Mapping) -> dict:
+    """A cell map in the basis of closed convex polytopes (cell closures),
+    with the map's number type."""
+    acc: dict = {}
+    for cell, coeff in terms.items():
+        for face, sign in _cell_faces(cell, ambient.mode):
+            acc[face] = acc.get(face, 0) + coeff * sign
+    return {p: q for p, q in acc.items() if q}
 
 
 def _closed_basis(f: SimpleFunction) -> dict:
     """Rewrite in the basis of closed convex polytopes (cell closures).
     The weights keep f's number type: ints stay ints, Fractions Fractions."""
-    line_mode = f.ambient.mode if isinstance(f.ambient, Line) else None
-    acc: dict = {}
-    for cell, coeff in f.terms.items():
-        for face, sign in geo.relint_faces(cell_closure(cell, line_mode)):
-            acc[face] = acc.get(face, 0) + coeff * sign
-    return {p: q for p, q in acc.items() if q}
+    return _basis(f.ambient, f.terms)
 
 
 def closed_product(a: Mapping, b: Mapping) -> dict:
@@ -189,23 +197,19 @@ def closed_product(a: Mapping, b: Mapping) -> dict:
     return {pq: w for pq, w in acc.items() if w}
 
 
-def canonical_terms(ambient: Ambient, acc: dict) -> dict:
-    """The canonical map of summed cell weights: zeros dropped, and on the
-    line one sweep into maximal runs."""
-    if isinstance(ambient, Line):
-        return _canonical_line_terms(acc)
-    return {c: q for c, q in acc.items() if q}
-
-
 def from_closed(ambient: Ambient, basis: Mapping) -> SimpleFunction:
-    """The simple function of a closed-basis element: each polytope is
-    decomposed into cells once.  The weights keep the basis's type:
-    Fractions in the ring operations, ints in a presentation's images."""
-    acc: dict = {}
+    """The simple function of a closed-basis element: the runs of each
+    polytope folded into deltas, at the width of the basis's reach.  The
+    weights keep the basis's type: Fractions in the ring operations, ints
+    in a presentation's images."""
+    width = ambient.width(ambient.reach(basis))
+    deltas: dict = {}
+    get, runs = deltas.get, ambient.runs
     for p, q in basis.items():
-        for cell in geo.decompose_cells(p):
-            acc[cell] = acc.get(cell, 0) + q
-    return SimpleFunction._trusted(ambient, canonical_terms(ambient, acc))
+        for start, stop in runs(p, width):
+            deltas[start] = get(start, 0) + q
+            deltas[stop] = get(stop, 0) - q
+    return SimpleFunction._trusted(ambient, width, {k: v for k, v in deltas.items() if v})
 
 
 def multiply_by_indicator(f: SimpleFunction, p: Polytope) -> SimpleFunction:
@@ -223,16 +227,15 @@ def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
 
 
 def evaluate_at(f: SimpleFunction, x) -> Fraction:
-    """Exact value of the function at a point of the ambient space: the
-    weight of the one cell holding x, or a scan of the cells on the line."""
-    if isinstance(f.ambient, Line):
-        return sum((q for c, q in f.terms.items() if cell_contains(c, x)), Fraction(0))
-    return Fraction(f.terms.get(geo.cell_at(f.ambient, x), 0))
+    """Exact value of the function at a point of the ambient space: the sum
+    of the deltas up to the key of the cell holding x."""
+    key = f.ambient.key_at(x, f.width)
+    return Fraction(sum(v for k, v in f.deltas.items() if k <= key))
 
 
 def is_zero(f: SimpleFunction) -> bool:
-    """True exactly when f vanishes everywhere (empty canonical term map)."""
-    return not f.terms
+    """True exactly when f vanishes everywhere: it has no nonzero delta."""
+    return not f.deltas
 
 
 def euler_char(f: SimpleFunction) -> Fraction:

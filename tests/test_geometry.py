@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import minkring.geometry as geo
+import minkring.simplefn as sf
 from minkring.scalars import Scalar
 from conftest import (bounding_grid_cells, naive_grid_member, naive_sum_member,
                       random_box, random_family_polytope, random_gridset,
@@ -535,3 +536,17 @@ def test_rebuild_tightens_once(monkeypatch):
         calls.clear()
         op(hexagon)
         assert len(calls) == 1
+
+
+def test_points_of_the_wrong_dimension_are_refused():
+    tri, square = geo.unit_triangle(), geo.box((0, 0), (1, 1))
+    with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
+        geo.translate(tri, (1,))
+    with pytest.raises(ValueError, match="point has 2 coordinates, got 3"):
+        geo.translate(tri, (1, 2, 3))
+    with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
+        geo.contains_point(square, (0,))
+    with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
+        sf.evaluate_at(sf.indicator(tri), (Fraction(1, 3),))
+    assert geo.translate(tri, (1, 2)) == geo.grid_set(1, 2, 2, 3, 3, 4)
+    assert geo.contains_point(square, (0, 1))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cellfold
 import minkring.geometry as geo
 import minkring.simplefn as sf
 from minkring.cli import parse_poly
@@ -428,6 +429,9 @@ RUN_RINGS = {
     "coxeter": coxeter_ring,
     "box:2": lambda: box_ring(2),
     "box:3:signed": lambda: box_ring(3, signed=True),
+    "interval:1,sqrt2:laurent": lambda: interval_ring(1, SQRT2, mode="laurent"),
+    "interval:-1,2": lambda: interval_ring(-1, 2),
+    "interval:0,1": lambda: interval_ring(0, 1),
     "product:d1,d2": lambda: product_presentation(box_ring(1, signed=True),
                                                   coxeter_ring()).combined,
     "product:d2,d2": lambda: product_presentation(coxeter_ring(), coxeter_ring()).combined,
@@ -438,7 +442,8 @@ def _cell_fold(ring, f) -> tuple:
     """(nonzero int weight per cell, D): the image of D * f as the image
     path folded it before packed keys.  Each term's shape image is its
     closed basis decomposed into cells, moved cell by cell with shift_cell,
-    and the int weights are summed per cell."""
+    and the int weights are summed per cell; line cells are then
+    canonicalised by the breakpoint sweep of tests/cellfold.py."""
     den = math.lcm(*(c.denominator for c in f.terms.values()))
     acc: dict = {}
     for m, c in f.terms.items():
@@ -448,7 +453,7 @@ def _cell_fold(ring, f) -> tuple:
             if offset is not None:
                 cell = geo.shift_cell(cell, offset)
             acc[cell] = acc.get(cell, 0) + c.numerator * (den // c.denominator) * q
-    return {cell: v for cell, v in acc.items() if v}, den
+    return cellfold.canonical(ring.ambient, acc), den
 
 
 @pytest.mark.parametrize("ring_id", sorted(RUN_RINGS))

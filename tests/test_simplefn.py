@@ -336,3 +336,14 @@ def test_public_results_carry_fraction_weights(rng):
                         sf.multiply_by_indicator(sf.indicator(p, "interior"), q)]
         for f in results:
             assert all(type(w) is Fraction and w for w in f.terms.values())
+
+
+def test_arithmetic_refuses_foreign_operands():
+    f = sf.indicator(TRI)
+    for op in (lambda: f * 0.5, lambda: 2.0 * f, lambda: f + 1, lambda: f - 1,
+               lambda: 1 + f, lambda: f * "x"):
+        with pytest.raises(TypeError):
+            op()
+    assert 2 * f == f * Fraction(2) == f + f
+    assert -f == f * -1 and sf.is_zero(f * 0)
+    assert all(type(q) is Fraction for q in (f * 3).terms.values())
