@@ -37,7 +37,7 @@ from . import simplefn as sf
 from .laurent import LaurentPoly, fold_terms, mono_mul, monomial
 from .presentations import (Presentation, PrincipalShape, box_ring,
                             classify_principal, coxeter_ring, interval_ring,
-                            point_ring, polytope_text)
+                            point_ring)
 from .scalars import Scalar
 
 
@@ -329,18 +329,7 @@ def face_label(face, table) -> str:
     for label, poly in table.items():
         if poly == face:
             return label
-    return polytope_text(face)
-
-
-def format_point(ambient, x) -> str:
-    if isinstance(ambient, geo.Arrangement):
-        if ambient.parts:  # each part reads its coordinates, the first of its forms
-            return "prod[" + "; ".join(format_point(a, tuple(x[k] for k in ks[:a.d]))
-                                       for a, ks in ambient.parts) + "]"
-        return f"{ambient.name}(" + ", ".join(str(c) for c in x) + ")"
-    if isinstance(ambient, geo.Line):
-        return str(x)
-    raise TypeError(f"not an ambient: {ambient!r}")
+    return face.ambient.text(face)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +346,7 @@ def cmd_member(args):
               ("canonical", canonical), ("result", witness is None)]
     verdict = "in the kernel"
     if witness is not None:
-        point = format_point(ring.ambient, witness[0])
+        point = ring.ambient.point_text(witness[0])
         report += [("witness", point), ("value", witness[1])]
         verdict = f"not in the kernel (image is {witness[1]} at {point})"
     return report, [f"{canonical} is {verdict} of {ring.ring_id}"]

@@ -1,33 +1,38 @@
 """Exact geometry of the supported polytope families.
 
-Two families are modeled, each closed under Minkowski sums: 1-D closed
-intervals with endpoints in Q or Q(sqrt 2) (:class:`Interval`) and lattice
-sets (:class:`LatticeSet`).  A lattice set is tight integer bounds
-``lo <= f <= hi`` on the forms of an :class:`Arrangement`: integer linear
-forms on R^d, the coordinates first, and a fine lattice (1/N)Z^d.  Boxes
-(:class:`Box`) take the d coordinates and N = 2; convex polygons of the
-triangular grid (:class:`GridSet`) take u, v and u + v and N = 3; a product
-of lattice sets (:class:`ProductPolytope`) takes the product arrangement,
-each part's forms on its own block of coordinates and the lcm of the parts'
-fine lattices, so its points are flat coordinate tuples.
+Every polytope is tight bounds ``los[k] <= f_k <= his[k]`` on the fixed
+forms f_k of its ambient, the tuple ``(ambient, los, his)``, and every cell
+the tuple ``(kind, *data)``, its kind a class.  Tight bounds are the
+support function on the forms (McMullen, *The polytope algebra*, 1989), so
+sums, dilations, negation, translation, intersection and containment act on
+the bounds alone, through the ambient's ``rebuild(los, his)``, which checks
+new bounds and tightens a lattice system once; a proper face pins a form to
+one of its bounds.  Each family keeps its geometry in its ambient, its
+polytope class and its cell kinds, which answer what the module-level
+functions ask; points are in the ambient's coordinates:
 
-Every family is tight bounds ``los`` and ``his`` on fixed forms (t on the
-line).  Tight bounds are the support function on the forms (McMullen, *The
-polytope algebra*, 1989), so sums, dilations, negation, translation,
-intersection and containment act on the bounds alone, through
-``rebuild(los, his)``, which tightens a lattice system once; a proper face
-pins a form to one of its bounds.
+* a :class:`Line`, in the scalar mode 'rational' or 'sqrt2', has the one
+  form t, Scalar points, closed intervals (:class:`Interval`) with ends in
+  Q or Q(sqrt 2), and the cells :class:`Point1D`, :class:`OpenInterval1D`;
+* an :class:`Arrangement` has integer linear forms on R^d, the coordinates
+  first, coordinate tuples as points, a fine lattice (1/N)Z^d, lattice sets
+  (:class:`LatticeSet`) and the cell kinds of its table
+  (:class:`LatticeCell`).  Boxes (:class:`Box`) take the d coordinates and
+  N = 2; polygons of the triangular grid (:class:`GridSet`) u, v and u + v
+  and N = 3; a product of lattice sets (:class:`ProductPolytope`) each
+  part's forms on its own block of coordinates and the lcm of the parts' N,
+  so its points are flat tuples.
 
 Every polytope decomposes canonically into relatively open cells, in the
 key order of its ambient, as *runs*: ``(start, stop)`` ranges of keys
-(``runs``, expanded by ``cells``).  On the line the cells are points and
-open intervals, a key is ``(t, 0)`` for the point t or ``(t, 1)`` for the
-open interval right of t, ordered as tuples, [a, b] is the run from (a, 0)
-to (b, 1), and a translation adds to t.  The integer level sets of an
-arrangement's forms cut R^d into cells, each the points of one signature
-(per form, its floor and whether it is integral) and each holding a fine
-lattice point, so an arrangement derives its table of cell kinds once by
-sampling [0, 1)^d (a product takes the tuples of its parts' kinds).
+(``runs``, expanded by ``cells``).  On the line a key is ``(t, 0)`` for the
+point t or ``(t, 1)`` for the open interval right of t, ordered as tuples,
+[a, b] is the run from (a, 0) to (b, 1), and a translation adds to t.  The
+integer level sets of an arrangement's forms cut R^d into cells, each the
+points of one signature (per form, its floor and whether it is integral)
+and each holding a fine lattice point, so an arrangement derives its table
+of cell kinds once by sampling [0, 1)^d (a product takes the tuples of its
+parts' kinds).
 
 A lattice cell ``(kind, a_0, ..., a_{d-1})`` packs into one int key
 (:meth:`Arrangement.pack`): the kind's RANK, then each a_j + 2^(w-1) in a
@@ -70,16 +75,77 @@ def _lattice(x) -> int:
     return n
 
 
+class Polytope(tuple):
+    """The tuple (ambient, los, his), so hash and equality are the tuple's."""
+
+    __slots__ = ()
+    ambient, los, his = (property(itemgetter(i)) for i in range(3))
+
+    def forms(self, x) -> tuple:
+        return self[0].values(x)
+
+
+class Cell(tuple):
+    """The tuple (kind, *data), so hash and equality are the tuple's; the
+    kind, its class, has its DIM and a name per datum in FIELDS (or none)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *data):
+        return tuple.__new__(cls, (cls, *data))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={a!r}" if name else repr(a)
+                         for name, a in zip(self.FIELDS or itertools.repeat(""), self[1:]))
+        return f"{type(self).__name__}({body})"
+
+
+_cell = tuple.__new__  # (kind, (kind, *data)): a cell of known data
+
+
 # ---------------------------------------------------------------------------
-# ambient space descriptors
+# the line
 
 
 @dataclass(frozen=True)
 class Line:
-    """The real line with a scalar mode: 'rational' or 'sqrt2'.  Its keys
-    are not packed, so every key width is 0."""
+    """The real line in a scalar mode, 'rational' or 'sqrt2', with the one
+    form t.  Its keys are not packed, so every key width is 0."""
 
     mode: str = "rational"
+    dims = {(True,): 0, (False,): 1}  # per tuple of pinned flags: the dimension
+
+    def __post_init__(self):
+        if self.mode not in ("rational", "sqrt2"):
+            raise ValueError(f"unknown line mode {self.mode!r} (choose rational or sqrt2)")
+
+    def rebuild(self, los, his) -> "Interval":
+        (lo,), (hi,) = los, his
+        if (hi - lo).sign() < 0:
+            raise EmptyRegionError(f"interval needs lo <= hi, got [{lo}, {hi}]")
+        if self.mode == "rational" and not (lo.is_rational and hi.is_rational):
+            raise ValueError("irrational endpoint in rational-mode interval")
+        return tuple.__new__(Interval, (self, (lo,), (hi,)))
+
+    def origin(self) -> "Interval":
+        zero = (Scalar.of(0),)
+        return self.rebuild(zero, zero)
+
+    def values(self, x) -> tuple:
+        return (Scalar.of(x),)
+
+    shift = values  # a translation adds the offset to t
+
+    coords = staticmethod(itemgetter(0))  # the point where the form takes these values
+
+    def offset(self, moves):  # the sum of exp * point over (exp, point) pairs
+        return sum(itertools.starmap(mul, moves))
+
+    def text(self, p: "Interval") -> str:  # p as presentations and the CLI print it
+        (lo,), (hi,) = p[1], p[2]
+        return f"point[{lo}]" if lo == hi else f"interval[{lo}, {hi}]"
+
+    point_text = staticmethod(str)
 
     def width(self, *reach) -> int:
         return 0
@@ -87,7 +153,7 @@ class Line:
     reach = width
 
     def runs(self, p: "Interval", width: int) -> tuple:
-        return (((p.lo, 0), (p.hi, 1)),)
+        return (((p[1][0], 0), (p[2][0], 1)),)
 
     def cells(self, start: tuple, stop: tuple, width: int) -> list:
         """The cells of the keys start <= k < stop, with no breakpoint
@@ -111,10 +177,86 @@ class Line:
         ordered by (p, q), not by value."""
         return min(((c, v) for start, stop, v in steps(deltas)
                     for c in self.cells(start, stop, width)),
-                   key=lambda cell_value: cell_sort_key(cell_value[0]))
+                   key=lambda cell_value: cell_value[0].sort_key())
 
     def key_at(self, x, width: int) -> tuple:
         return Scalar.of(x), 0
+
+
+class Interval(Polytope):
+    """Closed 1-D interval [lo, hi] of a line; lo == hi gives a point."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: ScalarLike, hi: ScalarLike, mode: str = "rational"):
+        return Line(mode).rebuild((Scalar.of(lo),), (Scalar.of(hi),))
+
+    lo = property(lambda self: self[1][0])
+    hi = property(lambda self: self[2][0])
+    mode = property(lambda self: self[0].mode)
+
+    def order(self) -> tuple:  # of one dimension: by the (p, q) parts of the ends
+        lo, hi = self.lo, self.hi
+        return lo.p, lo.q, hi.p, hi.q
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r}, mode={self.mode!r})"
+
+
+def interval(lo: ScalarLike, hi: ScalarLike, mode: str | None = None) -> Interval:
+    lo, hi = Scalar.of(lo), Scalar.of(hi)
+    if mode is None:
+        mode = "rational" if lo.is_rational and hi.is_rational else "sqrt2"
+    return Interval(lo, hi, mode)
+
+
+def line_point(at: ScalarLike, mode: str | None = None) -> Interval:
+    return interval(at, at, mode)
+
+
+class LineCell(Cell):
+    """Cell of a line: the point (Point1D, t) or the open interval
+    (OpenInterval1D, lo, hi), the relative interior of [t, t] or [lo, hi]."""
+
+    __slots__ = ()
+
+    def sort_key(self) -> tuple:  # points first, then the (p, q) parts of the ends
+        lo, hi = self[1], self[-1]
+        return (0, 0, lo.p, lo.q) if self.DIM == 0 else (1, 1, lo.p, lo.q, hi.p, hi.q)
+
+    def closure(self, line_mode: str | None = None) -> Interval:
+        return interval(self[1], self[-1], line_mode)
+
+    def representative(self):
+        return (self[1] + self[-1]) / 2
+
+    def shift(self, offset) -> "LineCell":
+        return _cell(self[0], (self[0], *(t + offset for t in self[1:])))
+
+    def contains(self, x) -> bool:  # a pinned end, or strictly between free ones
+        lo, t, hi = self[1], Scalar.of(x), self[-1]
+        return lo == t == hi or lo < t < hi
+
+
+class Point1D(LineCell):
+    __slots__ = ()
+    DIM, FIELDS = 0, ("at",)
+    at = property(itemgetter(1))
+
+
+class OpenInterval1D(LineCell):
+    __slots__ = ()
+    DIM, FIELDS = 1, ("lo", "hi")
+    lo, hi = property(itemgetter(1)), property(itemgetter(2))
+
+    def __new__(cls, lo, hi):
+        if (hi - lo).sign() <= 0:
+            raise ValueError("open interval needs lo < hi")
+        return _cell(cls, (cls, lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# arrangements and their lattice sets
 
 
 def _rank(rows) -> int:
@@ -235,7 +377,7 @@ class Arrangement:
         self.kinds = tuple(type(
             cell_names[rank] if cell_names else f"{name.title()}{d}Cell{rank}",
             (LatticeCell,),
-            {"__slots__": (), "ARRANGEMENT": self, "RANK": rank,
+            {"__slots__": (), "ARRANGEMENT": self, "RANK": rank, "FIELDS": labels,
              "DIM": self.dims[tuple(p for _, p in sig)],
              "SIGNATURE": sig, "LO": tuple(f for f, _ in sig),
              "HI": tuple(f if p else f + 1 for f, p in sig), "POINT": point})
@@ -256,6 +398,45 @@ class Arrangement:
             samples.setdefault(self.signature(x), []).append(x)
         return [(sig, xs[0], tuple(sum(c) / len(xs) for c in zip(*xs)))
                 for sig, xs in samples.items()]
+
+    def rebuild(self, los, his) -> "LatticeSet":
+        return _lattice_set(self, *_tighten(self, tuple(los), tuple(his)))
+
+    def origin(self) -> "LatticeSet":
+        zero = (0,) * len(self.forms)
+        return _lattice_set(self, zero, zero)
+
+    def values(self, x) -> tuple:
+        """The forms evaluated at a point, which must have d coordinates."""
+        if len(x) != self.d:
+            raise ValueError(f"a {self.name} point has {self.d} coordinates, got {len(x)}")
+        return tuple(sum(map(mul, row, x)) for row in self.forms)
+
+    def shift(self, offset) -> tuple:  # a translation adds an integer to each form
+        return tuple(_lattice(d) for d in self.values(offset))
+
+    def coords(self, values) -> tuple:  # the coordinates are the first d forms
+        return values[:self.d]
+
+    def offset(self, moves) -> tuple:  # the sum of exp * point over (exp, point) pairs
+        exps, points = zip(*moves)
+        return tuple(sum(map(mul, exps, c)) for c in zip(*points))
+
+    def text(self, p: "LatticeSet") -> str:  # p as presentations and the CLI print it
+        if self.parts:
+            return "prod[" + "; ".join(q[0].text(q) for q in p.parts) + "]"
+        if self.labels:
+            body = ", ".join(f"{label}:{lo}..{hi}"
+                             for label, lo, hi in zip(self.labels, p[1], p[2]))
+        else:
+            body = " x ".join(f"{lo}..{hi}" for lo, hi in zip(p[1], p[2]))
+        return f"{self.name}[{body}]"
+
+    def point_text(self, x) -> str:
+        if self.parts:  # each part reads its coordinates, the first of its forms
+            return "prod[" + "; ".join(a.point_text(tuple(x[k] for k in ks[:a.d]))
+                                       for a, ks in self.parts) + "]"
+        return f"{self.name}(" + ", ".join(str(c) for c in x) + ")"
 
     def pack(self, cell, width: int) -> int:
         """The key of a lattice cell: its kind's RANK, then each anchor
@@ -314,12 +495,6 @@ class Arrangement:
     def __repr__(self) -> str:
         return f"Arrangement({self.name}, d={self.d})"
 
-    def values(self, x) -> tuple:
-        """The forms evaluated at a point, which must have d coordinates."""
-        if len(x) != self.d:
-            raise ValueError(f"a {self.name} point has {self.d} coordinates, got {len(x)}")
-        return tuple(sum(map(mul, row, x)) for row in self.forms)
-
     def signature(self, x) -> tuple:
         """Per form, its floor at x and whether it is integral there: the
         cell of x, found in integers over a common denominator."""
@@ -329,45 +504,6 @@ class Arrangement:
 
 
 Ambient = Union[Line, Arrangement]
-
-
-# ---------------------------------------------------------------------------
-# polytopes
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed 1-D interval [lo, hi]; lo == hi gives a point."""
-
-    lo: Scalar
-    hi: Scalar
-    mode: str = "rational"
-
-    def __post_init__(self):
-        if (self.hi - self.lo).sign() < 0:
-            raise EmptyRegionError(f"interval needs lo <= hi, got [{self.lo}, {self.hi}]")
-        if self.mode == "rational" and not (self.lo.is_rational and self.hi.is_rational):
-            raise ValueError("irrational endpoint in rational-mode interval")
-
-    los = property(lambda self: (self.lo,))
-    his = property(lambda self: (self.hi,))
-
-    def rebuild(self, los, his) -> "Interval":
-        return Interval(los[0], his[0], self.mode)
-
-    def forms(self, x) -> tuple:
-        return (Scalar.of(x),)
-
-
-def interval(lo: ScalarLike, hi: ScalarLike, mode: str | None = None) -> Interval:
-    lo, hi = Scalar.of(lo), Scalar.of(hi)
-    if mode is None:
-        mode = "rational" if lo.is_rational and hi.is_rational else "sqrt2"
-    return Interval(lo, hi, mode)
-
-
-def line_point(at: ScalarLike, mode: str | None = None) -> Interval:
-    return interval(at, at, mode)
 
 
 def _tighten(arr: Arrangement, los: tuple, his: tuple) -> tuple:
@@ -399,14 +535,14 @@ def _tighten(arr: Arrangement, los: tuple, his: tuple) -> tuple:
         los, his = new
 
 
-class LatticeSet(tuple):
+class LatticeSet(Polytope):
     """Tight integer bounds ``los[k] <= f_k <= his[k]`` on the forms f_k of
-    an arrangement, as the tuple (arrangement, los, his), so hash and
-    equality are the tuple's.  The constructor rejects bounds that are not
-    tight; ``rebuild`` tightens new bounds once."""
+    an arrangement, as the tuple (arrangement, los, his).  The constructor
+    rejects bounds that are not tight; the arrangement's ``rebuild`` tightens
+    new bounds once."""
 
     __slots__ = ()
-    arrangement, los, his = (property(itemgetter(i)) for i in range(3))
+    arrangement = Polytope.ambient
 
     def __new__(cls, arrangement: Arrangement, los: tuple, his: tuple):
         tight = _tighten(arrangement, los, his)
@@ -415,16 +551,11 @@ class LatticeSet(tuple):
             raise ValueError(f"{arrangement.name} bounds not canonical: {p} vs {tight}")
         return p
 
-    def rebuild(self, los, his) -> "LatticeSet":
-        arr = self[0]
-        return _lattice_set(arr, *_tighten(arr, tuple(los), tuple(his)))
-
-    def forms(self, x) -> tuple:
-        return self[0].values(x)
-
     def bounds(self) -> tuple:
         """The lower and upper bound of each form in turn."""
         return tuple(itertools.chain(*zip(self.los, self.his)))
+
+    order = bounds  # what orders the lattice sets of one dimension
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{label}_min={lo}, {label}_max={hi}" for label, lo, hi
@@ -481,22 +612,34 @@ class GridSet(LatticeSet):
     u_max, v_max, s_max = (property(lambda self, k=k: self.his[k]) for k in range(3))
 
 
-class LatticeCell(tuple):
+class LatticeCell(Cell):
     """Cell of an arrangement, the tuple (kind, *anchor): the kind is a row of
     the arrangement's table, a subclass holding its ARRANGEMENT, RANK, DIM,
     SIGNATURE, closure bounds LO and HI and representative POINT at anchor
-    0, moved to the integer anchor.  Hash and equality are the tuple's."""
+    0, moved to the integer anchor."""
 
     __slots__ = ()
 
-    def __new__(cls, *anchor):
-        return tuple.__new__(cls, (cls, *anchor))
+    def sort_key(self) -> tuple:
+        return (self[0].DIM, self[0].RANK) + self[1:]
 
-    def __repr__(self) -> str:
-        labels = self.ARRANGEMENT.labels or itertools.repeat("")
-        body = ", ".join(f"{label}={a}" if label else str(a)
-                         for label, a in zip(labels, self[1:]))
-        return f"{type(self).__name__}({body})"
+    def closure(self, line_mode: str | None = None) -> LatticeSet:
+        kind = self[0]
+        at = kind.ARRANGEMENT.values(self[1:])
+        return _lattice_set(kind.ARRANGEMENT, tuple(map(add, at, kind.LO)),
+                            tuple(map(add, at, kind.HI)))
+
+    def representative(self) -> tuple:
+        return tuple(map(add, self[1:], self[0].POINT))
+
+    def shift(self, offset) -> "LatticeCell":
+        """The anchor moves as the coordinates, the first forms, do."""
+        kind = self[0]
+        return _cell(kind, (kind, *map(add, self[1:], kind.ARRANGEMENT.shift(offset))))
+
+    def contains(self, x) -> bool:
+        """A lattice cell holds the points of its signature."""
+        return cell_at(self[0].ARRANGEMENT, x) == self
 
 
 GRID = Arrangement("grid", ("u", "v", "s"), ((1, 0), (0, 1), (1, 1)), 3, GridSet, (
@@ -579,44 +722,33 @@ def product(*parts) -> ProductPolytope:
                         tuple(hi for *_, hi in bounds))
 
 
-Polytope = Union[Interval, LatticeSet]
-
-
 # ---------------------------------------------------------------------------
-# basic queries
+# basic queries, each a question to the polytope's ambient
 
 
 def ambient_of(p: Polytope) -> Ambient:
-    if isinstance(p, LatticeSet):
-        return p.arrangement
-    return Line(p.mode)
+    return p[0]
 
 
 def origin_of(ambient: Ambient) -> Polytope:
-    if isinstance(ambient, Arrangement):
-        zero = (0,) * len(ambient.forms)
-        return _lattice_set(ambient, zero, zero)
-    return Interval(Scalar.of(0), Scalar.of(0), ambient.mode)
+    return ambient.origin()
 
 
 def dim(p: Polytope) -> int:
-    if isinstance(p, LatticeSet):
-        return p.arrangement.dims[tuple(map(eq, p.los, p.his))]
-    return 0 if p.lo == p.hi else 1
+    return p[0].dims[tuple(map(eq, p[1], p[2]))]
 
 
 def _paired(a: Polytope, b: Polytope) -> None:
     """Check that a and b are one family on one ambient."""
-    if type(a) is not type(b) or ambient_of(a) != ambient_of(b):
-        raise FamilyMismatchError(
-            f"mismatched families: {type(a).__name__} vs {type(b).__name__}"
-        )
+    if type(a) is not type(b) or a[0] != b[0]:
+        raise FamilyMismatchError("mismatched families: " + " vs ".join(
+            f"{type(p).__name__} on {getattr(p, 'ambient', None)}" for p in (a, b)))
 
 
 def minkowski_sum(a: Polytope, b: Polytope) -> Polytope:
     """Minkowski sum within one family: the bounds add."""
     _paired(a, b)
-    return a.rebuild(tuple(map(add, a.los, b.los)), tuple(map(add, a.his, b.his)))
+    return a[0].rebuild(tuple(map(add, a.los, b.los)), tuple(map(add, a.his, b.his)))
 
 
 def scale(p: Polytope, k: int) -> Polytope:
@@ -624,25 +756,21 @@ def scale(p: Polytope, k: int) -> Polytope:
     origin point of the same block."""
     if k < 0:
         raise ValueError("scale needs k >= 0")
-    return p.rebuild(tuple(lo * k for lo in p.los), tuple(hi * k for hi in p.his))
+    return p[0].rebuild(tuple(lo * k for lo in p.los), tuple(hi * k for hi in p.his))
 
 
 def negate(p: Polytope) -> Polytope:
-    return p.rebuild(tuple(-hi for hi in p.his), tuple(-lo for lo in p.los))
+    return p[0].rebuild(tuple(-hi for hi in p.his), tuple(-lo for lo in p.los))
 
 
 def translate(p: Polytope, offset) -> Polytope:
-    """p moved by offset, given in the ambient coordinates (Scalar on the
-    line, integer tuples elsewhere)."""
-    shift = p.forms(offset)
-    if not isinstance(p, Interval):
-        shift = tuple(_lattice(d) for d in shift)
-    return p.rebuild(tuple(map(add, p.los, shift)), tuple(map(add, p.his, shift)))
+    """p moved by offset, integral off the line."""
+    shift = p[0].shift(offset)
+    return p[0].rebuild(tuple(map(add, p.los, shift)), tuple(map(add, p.his, shift)))
 
 
 def contains_point(p: Polytope, x) -> bool:
-    """Exact membership of a point given in the ambient coordinates
-    (Scalar on the line, Fraction pairs/tuples elsewhere)."""
+    """Exact membership of a point."""
     return all(lo <= f <= hi for lo, hi, f in zip(p.los, p.his, p.forms(x)))
 
 
@@ -659,7 +787,7 @@ def intersect(a: Polytope, b: Polytope) -> Polytope:
     P meets x - Q.
     """
     _paired(a, b)
-    return a.rebuild(tuple(map(max, a.los, b.los)), tuple(map(min, a.his, b.his)))
+    return a[0].rebuild(tuple(map(max, a.los, b.los)), tuple(map(min, a.his, b.his)))
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +795,7 @@ def intersect(a: Polytope, b: Polytope) -> Polytope:
 
 
 def polytope_sort_key(p: Polytope):
-    if isinstance(p, LatticeSet):
-        data = p.bounds()
-    else:
-        data = (p.lo.p, p.lo.q, p.hi.p, p.hi.q)
-    return (dim(p), data)
+    return dim(p), p.order()
 
 
 @lru_cache(maxsize=None)
@@ -684,8 +808,8 @@ def faces(p: Polytope) -> tuple:
     for i, (lo, hi) in enumerate(zip(los, his)):
         if lo != hi:
             for end in (lo, hi):
-                out.update(faces(p.rebuild(los[:i] + (end,) + los[i + 1:],
-                                           his[:i] + (end,) + his[i + 1:])))
+                out.update(faces(p[0].rebuild(los[:i] + (end,) + los[i + 1:],
+                                              his[:i] + (end,) + his[i + 1:])))
     return tuple(sorted(out, key=polytope_sort_key))
 
 
@@ -703,84 +827,42 @@ def vertices(p: Polytope) -> tuple:
 
 
 def vertex_coords(p: Polytope):
-    """Coordinate point of a 0-dimensional polytope, in the coordinates of
-    :func:`translate`: the Scalar on the line, integers elsewhere."""
+    """The point of a 0-dimensional polytope, integers off the line."""
     if dim(p) != 0:
         raise ValueError("vertex_coords needs a 0-dimensional polytope")
-    if isinstance(p, LatticeSet):
-        return p.los[:p.arrangement.d]
-    return p.lo
+    return p[0].coords(p.los)
 
 
 # ---------------------------------------------------------------------------
-# canonical cells
-
-
-@dataclass(frozen=True)
-class Point1D:
-    at: Scalar
-
-
-@dataclass(frozen=True)
-class OpenInterval1D:
-    lo: Scalar
-    hi: Scalar
-
-    def __post_init__(self):
-        if (self.hi - self.lo).sign() <= 0:
-            raise ValueError("open interval needs lo < hi")
-
-
-Cell = Union[LatticeCell, Point1D, OpenInterval1D]
-_cell = tuple.__new__  # (kind, (kind, *anchor)): a lattice cell
+# canonical cells, each question answered by the cell's kind
 
 
 def cell_dim(c: Cell) -> int:
-    if isinstance(c, LatticeCell):
-        return c[0].DIM
-    return 0 if isinstance(c, Point1D) else 1
+    return c.DIM
 
 
 def cell_sort_key(c: Cell):
-    if isinstance(c, LatticeCell):
-        return (c[0].DIM, c[0].RANK) + c[1:]
-    if isinstance(c, Point1D):
-        return (0, 0, c.at.p, c.at.q)
-    return (1, 1, c.lo.p, c.lo.q, c.hi.p, c.hi.q)
+    return c.sort_key()
 
 
 def cell_closure(c: Cell, line_mode: str | None = None) -> Polytope:
     """The topological closure of a cell, as a family polytope.  Line
     cells carry no scalar mode, so a sqrt2-mode line passes its mode;
     otherwise the mode is inferred from the endpoint values."""
-    if isinstance(c, LatticeCell):
-        kind = c[0]
-        at = kind.ARRANGEMENT.values(c[1:])
-        return _lattice_set(kind.ARRANGEMENT, tuple(map(add, at, kind.LO)),
-                            tuple(map(add, at, kind.HI)))
-    if isinstance(c, Point1D):
-        return interval(c.at, c.at, line_mode)
-    return interval(c.lo, c.hi, line_mode)
+    return c.closure(line_mode)
 
 
 def cell_representative(c: Cell):
     """One exact point in the relative interior of the cell."""
-    if isinstance(c, LatticeCell):
-        return tuple(map(add, c[1:], c[0].POINT))
-    return c.at if isinstance(c, Point1D) else (c.lo + c.hi) / 2
+    return c.representative()
 
 
 def shift_cell(c: Cell, offset) -> Cell:
-    """The cell moved by offset, given in the coordinates of
-    :func:`translate` (Scalar on the line, integer tuples elsewhere)."""
-    if isinstance(c, LatticeCell):
-        return _cell(c[0], (c[0], *map(add, c[1:], offset)))
-    if isinstance(c, Point1D):
-        return Point1D(c.at + offset)
-    return OpenInterval1D(c.lo + offset, c.hi + offset)
+    """The cell moved by offset, as in :func:`translate`."""
+    return c.shift(offset)
 
 
-def cell_at(ambient: Ambient, x) -> Cell:
+def cell_at(ambient: Arrangement, x) -> LatticeCell:
     """The cell of an arrangement holding the point x: the anchor is the
     floor of the coordinates, the kind the table row of the signature
     relative to the anchor."""
@@ -794,17 +876,14 @@ def cell_at(ambient: Ambient, x) -> Cell:
 def cell_contains(c: Cell, x) -> bool:
     """Membership in the cell: a lattice cell holds the points of its
     signature; a line cell is its point or open interval."""
-    if isinstance(c, LatticeCell):
-        return cell_at(c[0].ARRANGEMENT, x) == c
-    t = Scalar.of(x)
-    return t == c.at if isinstance(c, Point1D) else c.lo < t < c.hi
+    return c.contains(x)
 
 
 @lru_cache(maxsize=None)
 def decompose_cells(p: Polytope) -> tuple:
     """Disjoint canonical cells whose union is exactly p: its runs in its
     ambient expanded, in key order (cell_sort_key order on an arrangement)."""
-    ambient = ambient_of(p)
+    ambient = p[0]
     width = ambient.width(ambient.reach((p,)))
     return tuple(c for start, stop in ambient.runs(p, width)
                  for c in ambient.cells(start, stop, width))

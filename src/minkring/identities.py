@@ -65,26 +65,15 @@ def cover(polytope: Polytope, faces) -> CoverSpec:
 
 def covers_vertices(c: CoverSpec) -> bool:
     """True when every vertex of the polytope lies in some listed face."""
-    for v in geo.vertices(c.polytope):
-        point = geo.vertex_coords(v)
-        if not any(geo.contains_point(f, point) for f in c.faces):
-            return False
-    return True
-
-
-def _negated(x):
-    return tuple(-c for c in x) if isinstance(x, tuple) else -x
-
-
-def _anchor_offset(p: Polytope):
-    """The offset that moves p's least vertex to the origin."""
-    return _negated(geo.vertex_coords(min(geo.vertices(p), key=geo.polytope_sort_key)))
+    return all(any(geo.contains_polytope(f, v) for f in c.faces)
+               for v in geo.vertices(c.polytope))
 
 
 def anchored(c: CoverSpec) -> tuple:
-    """Translate the polytope so one vertex sits at the origin; returns the
-    anchored cover and the applied offset."""
-    off = _anchor_offset(c.polytope)
+    """Translate the polytope so its least vertex, the first in
+    polytope_sort_key order, sits at the origin; returns the anchored cover
+    and the applied offset, that vertex's coordinates negated."""
+    off = geo.vertex_coords(geo.negate(geo.vertices(c.polytope)[0]))
     moved = CoverSpec(geo.translate(c.polytope, off),
                       tuple(geo.translate(f, off) for f in c.faces))
     return moved, off

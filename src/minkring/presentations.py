@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import geometry as geo
@@ -73,33 +73,6 @@ class Generator:
     name: str
     polytope: Polytope
     invertible: bool
-
-
-def polytope_text(p: Polytope) -> str:
-    if isinstance(p, geo.LatticeSet):
-        a = p.arrangement
-        if a.parts:
-            return "prod[" + "; ".join(polytope_text(q) for q in p.parts) + "]"
-        if a.labels:
-            body = ", ".join(f"{label}:{lo}..{hi}"
-                             for label, lo, hi in zip(a.labels, p.los, p.his))
-        else:
-            body = " x ".join(f"{lo}..{hi}" for lo, hi in zip(p.los, p.his))
-        return f"{a.name}[{body}]"
-    if isinstance(p, geo.Interval):
-        if p.lo == p.hi:
-            return f"point[{p.lo}]"
-        return f"interval[{p.lo}, {p.hi}]"
-    raise TypeError(f"not a polytope: {p!r}")
-
-
-def _offset(moves):
-    """The sum of exp * point over (exp, point) pairs: a scalar on the
-    line, a coordinate tuple elsewhere."""
-    exps, points = zip(*moves)
-    if isinstance(points[0], tuple):
-        return tuple(sum(map(mul, exps, c)) for c in zip(*points))
-    return sum(map(mul, exps, points))
 
 
 class Presentation:
@@ -162,7 +135,7 @@ class Presentation:
                 shape.append((name, exp))
             else:
                 moves.append((exp, point))
-        return tuple(shape), (_offset(moves) if moves else None)
+        return tuple(shape), (self.ambient.offset(moves) if moves else None)
 
     def _phi_monomial(self, m) -> sf.SimpleFunction:
         """Image of one monomial, with int weights: its shape's, moved."""
@@ -235,7 +208,7 @@ class Presentation:
                  f"mode: {self.mode}"]
         for g in self.generators.values():
             inv = " (invertible)" if g.invertible else ""
-            lines.append(f"generator: {g.name} -> {polytope_text(g.polytope)}{inv}")
+            lines.append(f"generator: {g.name} -> {g.polytope.ambient.text(g.polytope)}{inv}")
         for p in self.declared:
             lines.append(f"kernel-generator: {p}")
         return "\n".join(lines)
@@ -322,21 +295,20 @@ def interval_ring(alpha: ScalarLike, beta: ScalarLike, mode: str = "polynomial",
         raise ValueError(f"degenerate interval [{alpha}, {beta}]")
     if (beta - alpha).sign() < 0:
         raise ValueError(f"interval needs alpha < beta, got ({alpha}, {beta})")
-    line_mode = "rational" if alpha.is_rational and beta.is_rational else "sqrt2"
-    seg = geo.interval(alpha, beta, line_mode)
+    seg = geo.interval(alpha, beta)
     invertible = mode == "laurent"
     x, y, z = (LaurentPoly.var(n) for n in "xyz")
     ring_id = f"interval:{alpha},{beta}:{mode}"
 
     if Scalar.of(0) in (alpha, beta) and naming != "xyz":
         other = beta if alpha == Scalar.of(0) else alpha
-        gens = [Generator("x", geo.line_point(other, line_mode), invertible),
+        gens = [Generator("x", geo.line_point(other, seg.mode), invertible),
                 Generator("y", seg, invertible)]
         declared = [(y - 1) * (y - x)]
         return Presentation(ring_id, mode, gens, declared)
 
-    gens = [Generator("x", geo.line_point(alpha, line_mode), invertible),
-            Generator("y", geo.line_point(beta, line_mode), invertible),
+    gens = [Generator("x", geo.line_point(alpha, seg.mode), invertible),
+            Generator("y", geo.line_point(beta, seg.mode), invertible),
             Generator("z", seg, invertible)]
     declared = [(z - x) * (z - y)]
     if alpha == Scalar.of(0):

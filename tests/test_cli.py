@@ -294,6 +294,14 @@ GOLDEN_CASES = [
     ("member_product_open_prism.txt",
      ["member", "--ring", "product:d1,d2",
       "(y - 1 - x)*(z_r - y1_r - y2_r - y3_r + 1 + x1_r + x2_r)"]),
+    # the line orders points by (p, q), not by value: sqrt2 comes before 1,
+    # as the least vertex and as the witness where z is 1 at both
+    ("identity_interval_sqrt2.txt",
+     ["identity", "--polytope", "interval:1,sqrt2", "--cover", "vertex:lo,vertex:hi"]),
+    ("member_interval_sqrt2.txt",
+     ["member", "--ring", "interval:1,sqrt2:laurent", "z - x"]),
+    ("member_interval_sqrt2_z.txt",
+     ["member", "--ring", "interval:1,sqrt2:laurent", "z"]),
 ]
 
 

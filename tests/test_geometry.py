@@ -41,10 +41,30 @@ def test_minkowski_origin_identity(rng):
 
 
 def test_minkowski_family_mismatch():
-    with pytest.raises(geo.FamilyMismatchError):
+    with pytest.raises(geo.FamilyMismatchError, match=r"GridSet on Arrangement\(grid, "
+                                                      r"d=2\) vs Box on Arrangement\(box, d=1\)"):
         geo.minkowski_sum(TRI, geo.box((0,), (1,)))
-    with pytest.raises(geo.FamilyMismatchError):
+    with pytest.raises(geo.FamilyMismatchError, match=r"Interval on Line\(mode='rational'\) "
+                                                      r"vs Interval on Line\(mode='sqrt2'\)"):
         geo.minkowski_sum(geo.interval(0, 1), geo.interval(0, 1, "sqrt2"))
+    with pytest.raises(geo.FamilyMismatchError, match="GridSet on .* vs int on None"):
+        geo.minkowski_sum(TRI, 5)
+
+
+def test_the_line_checks_its_inputs():
+    for build in (lambda: geo.Line("bogus"), lambda: geo.interval(0, 1, "bogus"),
+                  lambda: geo.line_point(0, "bogus"), lambda: geo.Interval(0, 1, "bogus")):
+        with pytest.raises(ValueError, match="unknown line mode 'bogus'"):
+            build()
+    # int and Fraction endpoints are taken through Scalar.of
+    assert geo.Interval(1, 2) == geo.interval(1, 2)
+    assert geo.Interval(Fraction(1, 2), 2, "sqrt2") == \
+        geo.interval(Scalar.of(Fraction(1, 2)), Scalar.of(2), "sqrt2")
+    assert geo.Interval(0, 1).lo == Scalar.of(0) and geo.Interval(0, 1).mode == "rational"
+    with pytest.raises(geo.EmptyRegionError):
+        geo.Interval(2, 1)
+    with pytest.raises(ValueError, match="irrational endpoint"):
+        geo.Interval(0, Scalar.sqrt2())
 
 
 def test_triangle_plus_down_triangle_is_hexagon():
@@ -509,20 +529,34 @@ def test_pack_round_trip_order_and_translation(rng, family):
 def closure_member(closure, x) -> bool:
     """x in the relative interior of a cell's closure, written out for each
     form: equal to a pinned bound, strictly between free ones."""
-    values = [sum(k * xi for k, xi in zip(row, x)) for row in closure.arrangement.forms]
+    values = closure.forms(x)
     return all(v == lo if lo == hi else lo < v < hi
                for lo, hi, v in zip(closure.los, closure.his, values))
 
 
+def cell_samples(c) -> list:
+    """Points at every end of a cell, between its ends and beyond them: the
+    line samples of a line cell's ends; a lattice cell's anchor moved by
+    the steps k/n around [0, 1], sixths for d <= 3 and the steps of the
+    fine lattice, which meet every cell, for d = 4."""
+    if isinstance(c, (geo.Point1D, geo.OpenInterval1D)):
+        return line_samples(c[1:])
+    arr = c.ARRANGEMENT
+    n = 6 if arr.d <= 3 else arr.fine
+    steps = [Fraction(k, n) for k in range(-(n // 2), n + n // 2 + 1)]
+    return [tuple(a + s for a, s in zip(c[1:], step))
+            for step in itertools.product(steps, repeat=arr.d)]
+
+
 def test_cell_contains_matches_closure_membership(rng):
-    sixths = [Fraction(k, 6) for k in range(-3, 10)]  # around [0, 1] and past it
     polys = [random_gridset(rng, span=2) for _ in range(4)]
     polys += [random_box(rng, d=d, span=1) for d in (1, 2, 3) for _ in range(2)]
+    polys += [draw(rng, family) for family in ("rational", "sqrt2", "grid*box1", "grid*grid")
+              for _ in range(2)]
     for p in polys:
         for c in geo.decompose_cells(p):
             closure = geo.cell_closure(c)
-            for step in itertools.product(sixths, repeat=p.arrangement.d):
-                x = tuple(a + s for a, s in zip(c[1:], step))
+            for x in cell_samples(c):
                 assert geo.cell_contains(c, x) == closure_member(closure, x)
 
 
@@ -548,5 +582,11 @@ def test_points_of_the_wrong_dimension_are_refused():
         geo.contains_point(square, (0,))
     with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
         sf.evaluate_at(sf.indicator(tri), (Fraction(1, 3),))
+    with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
+        geo.shift_cell(geo.GridVertex(0, 0), (1,))
+    with pytest.raises(ValueError, match="point has 2 coordinates, got 3"):
+        geo.shift_cell(geo.GridVertex(0, 0), (1, 2, 3))
+    with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
+        geo.shift_cell(geo.decompose_cells(square)[0], (5,))
     assert geo.translate(tri, (1, 2)) == geo.grid_set(1, 2, 2, 3, 3, 4)
     assert geo.contains_point(square, (0, 1))
