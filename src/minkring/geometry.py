@@ -37,7 +37,7 @@ parts' kinds).
 A lattice cell ``(kind, a_0, ..., a_{d-1})`` packs into one int key
 (:meth:`Arrangement.pack`): the kind's RANK, then each a_j + 2^(w-1) in a
 w-bit field, a_{d-1} least significant.  Kinds are ranked by dimension, so
-int order is :func:`cell_sort_key` order, and a translation by o adds the
+int order is the cell kinds' ``sort_key`` order, and a translation by o adds the
 int sum of o_j * 2^(w(d-1-j)), with no carry while every field stays in
 range; :func:`key_width` picks w from the largest coordinate.  The cells of
 one kind whose anchors share a_0 .. a_{d-2} have consecutive a_{d-1}, so a
@@ -172,8 +172,8 @@ class Line:
             acc[k] = acc.get(k, 0) + n * v
 
     def least(self, deltas: dict, width: int) -> tuple:
-        """(cell, value) of the least cell in cell_sort_key order where the
-        step function with these differences is nonzero: points first,
+        """(cell, value) of the least cell in the cell kinds' sort_key order
+        where the step function with these differences is nonzero: points first,
         ordered by (p, q), not by value."""
         return min(((c, v) for start, stop, v in steps(deltas)
                     for c in self.cells(start, stop, width)),
@@ -224,7 +224,7 @@ class LineCell(Cell):
         lo, hi = self[1], self[-1]
         return (0, 0, lo.p, lo.q) if self.DIM == 0 else (1, 1, lo.p, lo.q, hi.p, hi.q)
 
-    def closure(self, line_mode: str | None = None) -> Interval:
+    def closure(self, line_mode: str | None = None) -> Interval:  # else the ends' mode
         return interval(self[1], self[-1], line_mode)
 
     def representative(self):
@@ -314,9 +314,9 @@ def _lattice_runs(arr: Arrangement, kind: type, los: tuple, his: tuple,
 
 @lru_cache(maxsize=None)
 def decompose_runs(p: LatticeSet, width: int) -> tuple:
-    """The cells of p as (start, stop) runs of keys packed at width, at
-    least key_width(reach(p)): one run per kind and row, in key order, which
-    is cell_sort_key order; kinds whose closure cannot fit in p are skipped."""
+    """The cells of p as (start, stop) runs of keys packed at width, at least
+    key_width(reach(p)): one run per kind and row, in the cell kinds' sort_key
+    order; kinds whose closure cannot fit in p are skipped."""
     arr, p_los, p_his = p
     runs = []
     for kind, lo, hi in arr.fitting[tuple(map(ne, p_los, p_his))]:
@@ -482,7 +482,7 @@ class Arrangement:
 
     def least(self, deltas: dict, width: int) -> tuple:
         """(cell, value) of the least key with a nonzero difference: the step
-        function is 0 below it, so that cell comes first in cell_sort_key order."""
+        function is 0 below it, and key order is the cell kinds' sort_key order."""
         key = min(deltas)
         return self.cells(key, key + 1, width)[0], deltas[key]
 
@@ -542,7 +542,6 @@ class LatticeSet(Polytope):
     new bounds once."""
 
     __slots__ = ()
-    arrangement = Polytope.ambient
 
     def __new__(cls, arrangement: Arrangement, los: tuple, his: tuple):
         tight = _tighten(arrangement, los, his)
@@ -559,7 +558,7 @@ class LatticeSet(Polytope):
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{label}_min={lo}, {label}_max={hi}" for label, lo, hi
-                           in zip(self.arrangement.labels, self.los, self.his))
+                           in zip(self.ambient.labels, self.los, self.his))
         return f"{type(self).__name__}({fields or f'los={self.los}, his={self.his}'})"
 
 
@@ -648,11 +647,6 @@ GRID = Arrangement("grid", ("u", "v", "s"), ((1, 0), (0, 1), (1, 1)), 3, GridSet
 GridVertex, GridEdgeU, GridEdgeV, GridEdgeS, GridTriUp, GridTriDown = GRID.kinds
 
 
-def GridPlane() -> Arrangement:
-    """The triangular-lattice plane: the grid arrangement."""
-    return GRID
-
-
 def grid_set(u_min: int, u_max: int, v_min: int, v_max: int,
              s_min: int, s_max: int) -> GridSet:
     """Build a canonical GridSet, tightening the six bounds first."""
@@ -679,7 +673,7 @@ class ProductPolytope(LatticeSet):
         """The factors, each a lattice set of its part's arrangement."""
         return tuple(_lattice_set(a, tuple(self.los[k] for k in ks),
                                   tuple(self.his[k] for k in ks))
-                     for a, ks in self.arrangement.parts)
+                     for a, ks in self.ambient.parts)
 
 
 def product_arrangement(parts: tuple) -> Arrangement:
@@ -713,7 +707,7 @@ def product(*parts) -> ProductPolytope:
         if not isinstance(p, LatticeSet):
             raise FamilyMismatchError(
                 f"product parts must be Box or GridSet, got {type(p).__name__}")
-    arr = product_arrangement(tuple(q.arrangement for q in flat))
+    arr = product_arrangement(tuple(q.ambient for q in flat))
     # each part's bounds, sorted into the places of its forms
     bounds = sorted(zip(itertools.chain(*(ks for _, ks in arr.parts)),
                         itertools.chain(*(q.los for q in flat)),
@@ -724,14 +718,6 @@ def product(*parts) -> ProductPolytope:
 
 # ---------------------------------------------------------------------------
 # basic queries, each a question to the polytope's ambient
-
-
-def ambient_of(p: Polytope) -> Ambient:
-    return p[0]
-
-
-def origin_of(ambient: Ambient) -> Polytope:
-    return ambient.origin()
 
 
 def dim(p: Polytope) -> int:
@@ -834,32 +820,7 @@ def vertex_coords(p: Polytope):
 
 
 # ---------------------------------------------------------------------------
-# canonical cells, each question answered by the cell's kind
-
-
-def cell_dim(c: Cell) -> int:
-    return c.DIM
-
-
-def cell_sort_key(c: Cell):
-    return c.sort_key()
-
-
-def cell_closure(c: Cell, line_mode: str | None = None) -> Polytope:
-    """The topological closure of a cell, as a family polytope.  Line
-    cells carry no scalar mode, so a sqrt2-mode line passes its mode;
-    otherwise the mode is inferred from the endpoint values."""
-    return c.closure(line_mode)
-
-
-def cell_representative(c: Cell):
-    """One exact point in the relative interior of the cell."""
-    return c.representative()
-
-
-def shift_cell(c: Cell, offset) -> Cell:
-    """The cell moved by offset, as in :func:`translate`."""
-    return c.shift(offset)
+# canonical cells
 
 
 def cell_at(ambient: Arrangement, x) -> LatticeCell:
@@ -873,16 +834,10 @@ def cell_at(ambient: Arrangement, x) -> LatticeCell:
     return _cell(kind, (kind, *anchor))
 
 
-def cell_contains(c: Cell, x) -> bool:
-    """Membership in the cell: a lattice cell holds the points of its
-    signature; a line cell is its point or open interval."""
-    return c.contains(x)
-
-
 @lru_cache(maxsize=None)
 def decompose_cells(p: Polytope) -> tuple:
     """Disjoint canonical cells whose union is exactly p: its runs in its
-    ambient expanded, in key order (cell_sort_key order on an arrangement)."""
+    ambient expanded, in key order (the cell kinds' sort_key order off the line)."""
     ambient = p[0]
     width = ambient.width(ambient.reach((p,)))
     return tuple(c for start, stop in ambient.runs(p, width)

@@ -84,8 +84,8 @@ def id_holds(c: CoverSpec) -> bool:
     indicator differences is the zero function.  Each factor is one round
     trip from cells to the closed basis and back, on int weights."""
     p = c.polytope
-    ambient = geo.ambient_of(p)
-    fn = sf.from_closed(ambient, {geo.origin_of(ambient): 1})
+    ambient = p.ambient
+    fn = sf.from_closed(ambient, {ambient.origin(): 1})
     for face in c.faces:
         diff = {p: 1}
         diff[face] = diff.get(face, 0) - 1

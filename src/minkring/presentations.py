@@ -86,7 +86,7 @@ class Presentation:
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
-        ambients = {geo.ambient_of(g.polytope) for g in generators}
+        ambients = {g.polytope.ambient for g in generators}
         if len(ambients) != 1:
             raise ValueError("generators must share one ambient space")
         self.ring_id = ring_id
@@ -152,10 +152,10 @@ class Presentation:
                 dilated = geo.scale(self.generators[name].polytope, abs(exp))
                 if exp > 0:
                     factors.append({dilated: 1})
-                else:
-                    factors.append({f: (-1) ** geo.dim(f)
-                                    for f in geo.faces(geo.negate(dilated))})
-            basis = {geo.origin_of(self.ambient): 1}
+                else:  # [P]^-1 = (-1)^dim(P) [relint(-P)]
+                    faces = geo.relint_faces(geo.negate(dilated))
+                    factors.append({f: (-1) ** geo.dim(dilated) * s for f, s in faces})
+            basis = {self.ambient.origin(): 1}
             # Small factors first keep the intermediate sums few.
             for factor in sorted(factors, key=len):
                 basis = sf.closed_product(basis, factor)
@@ -193,12 +193,12 @@ class Presentation:
 
     def kernel_witness(self, f: LaurentPoly):
         """None when f is in the kernel, else (point, value): the least cell in
-        cell_sort_key order where the image is nonzero, found from the deltas."""
+        the cell kinds' sort_key order where the image is nonzero, from the deltas."""
         deltas, den, width = self._image_ints(f)
         if not deltas:
             return None
         cell, value = self.ambient.least(deltas, width)
-        return geo.cell_representative(cell), Fraction(value, den)
+        return cell.representative(), Fraction(value, den)
 
     # -- description ---------------------------------------------------------
 

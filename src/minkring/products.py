@@ -56,8 +56,8 @@ def product_presentation(pl: Presentation, pr: Presentation) -> ProductPresentat
     if pl.mode != pr.mode:
         raise ValueError(f"mixed modes: {pl.mode} vs {pr.mode}")
     rename = {n: n + RIGHT_SUFFIX for n in pr.names()}
-    left_origin = geo.origin_of(pl.ambient)
-    right_origin = geo.origin_of(pr.ambient)
+    left_origin = pl.ambient.origin()
+    right_origin = pr.ambient.origin()
     gens = [
         Generator(g.name, geo.product(g.polytope, right_origin), g.invertible)
         for g in pl.generators.values()
@@ -118,6 +118,8 @@ def verify_tensor_identity(pp: ProductPresentation, bound: int = 2,
     the all-ones point."""
     if not 0 <= bound <= 3:
         raise ValueError("degree bound must lie in 0..3")
+    if samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {samples}")
     for ml in _monomials_up_to(pp.left_names, bound):
         for mr in _monomials_up_to(pp.right_names, bound):
             fl, fr = psi_split(ml * mr, pp.left_names, pp.right_names)

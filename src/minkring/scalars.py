@@ -46,11 +46,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.p
-
     def sign(self) -> int:
         sp, sq = _sgn(self.p), _sgn(self.q)
         if sq == 0:

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import geometry as geo
-from .geometry import Ambient, Cell, Line, Polytope, cell_dim, cell_sort_key
+from .geometry import Ambient, Cell, Line, Polytope
 
 
 class AmbientMismatchError(ValueError):
@@ -112,7 +112,7 @@ class SimpleFunction:
 
     def __repr__(self) -> str:
         body = ", ".join(f"{c}: {q}" for c, q in sorted(
-            self.terms.items(), key=lambda it: cell_sort_key(it[0])))
+            self.terms.items(), key=lambda it: it[0].sort_key()))
         return f"SimpleFunction({{{body}}})"
 
 
@@ -135,7 +135,7 @@ def zero(ambient: Ambient) -> SimpleFunction:
 
 def unit(ambient: Ambient) -> SimpleFunction:
     """Indicator of the origin point: the multiplicative identity."""
-    return indicator(geo.origin_of(ambient))
+    return indicator(ambient.origin())
 
 
 def indicator(p: Polytope, mode: str = "closed") -> SimpleFunction:
@@ -144,7 +144,7 @@ def indicator(p: Polytope, mode: str = "closed") -> SimpleFunction:
         raise ValueError(f"unknown indicator mode {mode!r}")
     faces = ((p, 1),) if mode == "closed" else geo.relint_faces(p)
     basis = {f: Fraction(sign) for f, sign in faces}
-    return from_closed(geo.ambient_of(p), basis)
+    return from_closed(p.ambient, basis)
 
 
 def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
@@ -167,7 +167,7 @@ def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
 def _cell_faces(cell: Cell, mode) -> tuple:
     """(face, sign) pairs of [cell] in the closed basis: inclusion-exclusion
     over the faces of its closure, which on the line takes the line's mode."""
-    return geo.relint_faces(geo.cell_closure(cell, mode))
+    return geo.relint_faces(cell.closure(mode))
 
 
 def _basis(ambient: Ambient, terms: Mapping) -> dict:
@@ -214,8 +214,8 @@ def from_closed(ambient: Ambient, basis: Mapping) -> SimpleFunction:
 
 def multiply_by_indicator(f: SimpleFunction, p: Polytope) -> SimpleFunction:
     """Ring product f * [p] for a single closed convex polytope p."""
-    if geo.ambient_of(p) != f.ambient:
-        raise AmbientMismatchError(f"{geo.ambient_of(p)} vs {f.ambient}")
+    if p.ambient != f.ambient:
+        raise AmbientMismatchError(f"{p.ambient} vs {f.ambient}")
     return from_closed(f.ambient, closed_product(_closed_basis(f), {p: 1}))
 
 
@@ -241,4 +241,4 @@ def is_zero(f: SimpleFunction) -> bool:
 def euler_char(f: SimpleFunction) -> Fraction:
     """The valuation taking value 1 on every nonempty closed convex
     polytope's indicator: sum of coeff * (-1)^dim over cells."""
-    return sum((q * (-1) ** cell_dim(c) for c, q in f.terms.items()), Fraction(0))
+    return sum((q * (-1) ** c.DIM for c, q in f.terms.items()), Fraction(0))

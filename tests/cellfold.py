@@ -65,7 +65,7 @@ def closed_basis(ambient, terms) -> dict:
     mode = ambient.mode if isinstance(ambient, geo.Line) else None
     acc: dict = {}
     for c, w in terms.items():
-        for face, sign in geo.relint_faces(geo.cell_closure(c, mode)):
+        for face, sign in geo.relint_faces(c.closure(mode)):
             acc[face] = acc.get(face, 0) + w * sign
     return {p: q for p, q in acc.items() if q}
 
@@ -91,9 +91,9 @@ def evaluate_at(ambient, terms, x) -> Fraction:
     """The weight of the cell holding x, or on the line the scan of every
     cell."""
     if isinstance(ambient, geo.Line):
-        return sum((q for c, q in terms.items() if geo.cell_contains(c, x)), Fraction(0))
+        return sum((q for c, q in terms.items() if c.contains(x)), Fraction(0))
     return Fraction(terms.get(geo.cell_at(ambient, x), 0))
 
 
 def euler_char(terms) -> Fraction:
-    return sum((q * (-1) ** geo.cell_dim(c) for c, q in terms.items()), Fraction(0))
+    return sum((q * (-1) ** c.DIM for c, q in terms.items()), Fraction(0))

@@ -72,8 +72,8 @@ def split_point(p: geo.ProductPolytope, x) -> tuple:
     coordinates follow each other in the order of the parts."""
     blocks, start = [], 0
     for q in p.parts:
-        blocks.append(tuple(x[start:start + q.arrangement.d]))
-        start += q.arrangement.d
+        blocks.append(tuple(x[start:start + q.ambient.d]))
+        start += q.ambient.d
     return tuple(blocks)
 
 
@@ -99,7 +99,7 @@ def sampled_cells(p: geo.LatticeSet) -> set:
     of the fine lattice (1/N)Z^d that lies in p.  Membership and signatures
     are computed here from the arrangement's forms; a kind is looked up by
     its signature at anchor 0, so the table's translation is not used."""
-    arr = p.arrangement
+    arr = p.ambient
     n, d = arr.fine, arr.d
     kind_of = {kind.SIGNATURE: kind for kind in arr.kinds}
     cells = set()

@@ -120,7 +120,7 @@ def _iff_mismatches(p):
     verts = geo.vertices(p)
     vert_points = [geo.vertex_coords(v) for v in verts]
     in_face = [[geo.contains_point(f, pt) for pt in vert_points] for f in fs]
-    unit = sf.unit(geo.ambient_of(p))
+    unit = sf.unit(p.ambient)
     stats = {"checked": 0, "mismatches": 0}
 
     def rec(i, fn, covered, any_chosen):

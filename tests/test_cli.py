@@ -461,6 +461,8 @@ def test_usage_errors_are_one_line_errors(capsys):
      "interval selector needs two endpoints: 'interval:1,2,3'"),
     (["minimal-covers", "--polytope", "interval:1"],
      "interval selector needs two endpoints: 'interval:1'"),
+    (["product", "--left", "d1", "--right", "d2", "--samples", "-3"],
+     "sample count must be nonnegative, got -3"),
 ])
 def test_malformed_selectors_are_one_line_errors(argv, message, capsys):
     code, report = run(argv)

@@ -36,7 +36,7 @@ def test_minkowski_edges_make_rhombus():
 def test_minkowski_origin_identity(rng):
     for _ in range(12):
         p = random_family_polytope(rng)
-        origin = geo.origin_of(geo.ambient_of(p))
+        origin = p.ambient.origin()
         assert geo.minkowski_sum(p, origin) == p
 
 
@@ -137,11 +137,11 @@ def test_product_faces_multiply():
 
 def test_decompose_triangle():
     cells = geo.decompose_cells(TRI)
-    assert sorted(cells, key=geo.cell_sort_key) == sorted([
+    assert sorted(cells, key=lambda c: c.sort_key()) == sorted([
         geo.GridVertex(0, 0), geo.GridVertex(1, 0), geo.GridVertex(0, 1),
         geo.GridEdgeU(0, 0), geo.GridEdgeV(0, 0), geo.GridEdgeS(0, 0),
         geo.GridTriUp(0, 0),
-    ], key=geo.cell_sort_key)
+    ], key=lambda c: c.sort_key())
 
 
 def test_decompose_point_and_scaled_triangle():
@@ -158,17 +158,17 @@ def test_cells_partition_their_polytope(rng):
     for _ in range(10):
         g = random_gridset(rng)
         cells = geo.decompose_cells(g)
-        reps = [geo.cell_representative(c) for c in cells]
+        reps = [c.representative() for c in cells]
         assert len(set(reps)) == len(reps)
         for c, r in zip(cells, reps):
-            assert geo.cell_contains(c, r)
+            assert c.contains(r)
             assert geo.contains_point(g, r)
         # every cell of a bounding box is emitted iff its representative
         # satisfies the naive bound check
         cell_set = set(cells)
         for c in bounding_grid_cells(g.u_min - 1, g.u_max + 1,
                                      g.v_min - 1, g.v_max + 1):
-            r = geo.cell_representative(c)
+            r = c.representative()
             assert (c in cell_set) == naive_grid_member(g.bounds(), r)
 
 
@@ -179,7 +179,7 @@ def test_sum_decomposition_matches_membership(rng):
         cell_set = set(geo.decompose_cells(total))
         for c in bounding_grid_cells(total.u_min - 1, total.u_max + 1,
                                      total.v_min - 1, total.v_max + 1):
-            r = geo.cell_representative(c)
+            r = c.representative()
             assert (c in cell_set) == naive_sum_member(a, b, r)
 
 
@@ -187,10 +187,10 @@ def test_box_cells_and_interval_cells():
     seg2 = geo.box((0,), (2,))
     cells = geo.decompose_cells(seg2)
     assert len(cells) == 5
-    assert sum(1 for c in cells if geo.cell_dim(c) == 0) == 3
+    assert sum(1 for c in cells if c.DIM == 0) == 3
     iv = geo.interval(0, Scalar.sqrt2())
     pieces = geo.decompose_cells(iv)
-    assert [geo.cell_dim(c) for c in pieces] == [0, 1, 0]
+    assert [c.DIM for c in pieces] == [0, 1, 0]
 
 
 def test_negate_translate_roundtrip(rng):
@@ -257,7 +257,7 @@ def member(p: geo.Polytope, x) -> bool:
         return naive_grid_member(p.bounds(), x)
     if isinstance(p, geo.ProductPolytope):
         return all(member(q, xq) for q, xq in zip(p.parts, split_point(p, x)))
-    return naive_sum_member(p, geo.origin_of(geo.ambient_of(p)), x)
+    return naive_sum_member(p, p.ambient.origin(), x)
 
 
 def line_samples(ends) -> list:
@@ -280,7 +280,7 @@ def samples(polys) -> list:
                                     max(q.u_max for q in polys) + 1,
                                     min(q.v_min for q in polys) - 1,
                                     max(q.v_max for q in polys) + 1)
-        return [geo.cell_representative(c) for c in cells]
+        return [c.representative() for c in cells]
     if isinstance(p, geo.Box):
         return list(itertools.product(*(line_samples(ends) for ends in zip(
             *(q.los for q in polys), *(q.his for q in polys)))))
@@ -305,9 +305,9 @@ def test_representatives_lie_in_exactly_their_cell(rng, family):
         p = draw(rng, family)
         cells = geo.decompose_cells(p)
         for c in cells:
-            r = geo.cell_representative(c)
-            assert [d for d in cells if geo.cell_contains(d, r)] == [c]
-            assert member(geo.cell_closure(c), r) and member(p, r)
+            r = c.representative()
+            assert [d for d in cells if d.contains(r)] == [c]
+            assert member(c.closure(), r) and member(p, r)
 
 
 def test_grid_cells_of_different_kinds_differ():
@@ -370,12 +370,12 @@ def test_shift_cell_is_translation_of_the_decomposition(rng, family):
         p = draw(rng, family)
         offset = offset_for(rng, p)
         cells = geo.decompose_cells(p)
-        shifted = [geo.shift_cell(c, offset) for c in cells]
-        assert sorted(shifted, key=geo.cell_sort_key) == sorted(
-            geo.decompose_cells(geo.translate(p, offset)), key=geo.cell_sort_key)
+        shifted = [c.shift(offset) for c in cells]
+        assert sorted(shifted, key=lambda c: c.sort_key()) == sorted(
+            geo.decompose_cells(geo.translate(p, offset)), key=lambda c: c.sort_key())
         for c, s in zip(cells, shifted):
-            assert type(s) is type(c) and geo.cell_dim(s) == geo.cell_dim(c)
-            assert geo.cell_representative(s) == moved(geo.cell_representative(c), offset)
+            assert type(s) is type(c) and s.DIM == c.DIM
+            assert s.representative() == moved(c.representative(), offset)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +432,13 @@ def test_product_cells_are_the_products_of_the_parts_cells(rng, family):
         cells = geo.decompose_cells(p)
         assert set(cells) == sampled_cells(p) and len(set(cells)) == len(cells)
         # each cell splits into one cell per part at its representative
-        split = {c: tuple(geo.cell_at(q.arrangement, xq) for q, xq in zip(
-            p.parts, split_point(p, geo.cell_representative(c)))) for c in cells}
+        split = {c: tuple(geo.cell_at(q.ambient, xq) for q, xq in zip(
+            p.parts, split_point(p, c.representative()))) for c in cells}
         assert len(set(split.values())) == len(cells)
         assert set(split.values()) == set(itertools.product(
             *(geo.decompose_cells(q) for q in p.parts)))
         for c, parts in split.items():
-            assert geo.cell_dim(c) == sum(geo.cell_dim(q) for q in parts)
+            assert c.DIM == sum(q.DIM for q in parts)
         for f in geo.faces(p):
             assert geo.dim(f) == sum(geo.dim(q) for q in f.parts)
 
@@ -480,13 +480,13 @@ def test_runs_expand_to_the_cells_in_key_order(rng, family):
         p = draw(rng, family)
         if rng.random() < 0.3:  # a face: some kinds have no cell in it
             p = rng.choice(geo.faces(p))
-        arr, width = p.arrangement, geo.key_width(geo.reach(p))
+        arr, width = p.ambient, geo.key_width(geo.reach(p))
         degenerate += geo.dim(p) < arr.d
         runs = geo.decompose_runs(p, width)
         cells = [c for start, stop in runs for c in arr.cells(start, stop, width)]
         assert cells == list(geo.decompose_cells(p))
         assert set(cells) == sampled_cells(p) and len(set(cells)) == len(cells)
-        assert cells == sorted(cells, key=geo.cell_sort_key)
+        assert cells == sorted(cells, key=lambda c: c.sort_key())
         keys = [arr.pack(c, width) for c in cells]
         assert keys == sorted(keys) and len(keys) == sum(b - a for a, b in runs)
         # a run is one kind and anchor prefix, and runs never touch
@@ -501,7 +501,7 @@ def test_runs_expand_to_the_cells_in_key_order(rng, family):
 
 @pytest.mark.parametrize("family", RUN_FAMILIES)
 def test_pack_round_trip_order_and_translation(rng, family):
-    arr = draw(rng, family).arrangement
+    arr = draw(rng, family).ambient
     cells = []
     for _ in range(40):
         kind = rng.choice(arr.kinds)
@@ -514,14 +514,14 @@ def test_pack_round_trip_order_and_translation(rng, family):
             assert arr.cells(key, key + 1, w) == [c]
     keys = [arr.pack(c, width) for c in cells]
     assert sorted(keys) == [arr.pack(c, width) for c in
-                            sorted(cells, key=geo.cell_sort_key)]
+                            sorted(cells, key=lambda c: c.sort_key())]
     # a translation is one int addition while the moved anchors fit
     offset = tuple(rng.randint(-9, 9) for _ in range(arr.d))
     move = 0
     for a in offset:
         move = (move << width) + a
     for c in cells:
-        moved = geo.shift_cell(c, offset)
+        moved = c.shift(offset)
         if geo.key_width(max(map(abs, moved[1:]))) == width:
             assert arr.pack(c, width) + move == arr.pack(moved, width)
 
@@ -555,9 +555,9 @@ def test_cell_contains_matches_closure_membership(rng):
               for _ in range(2)]
     for p in polys:
         for c in geo.decompose_cells(p):
-            closure = geo.cell_closure(c)
+            closure = c.closure()
             for x in cell_samples(c):
-                assert geo.cell_contains(c, x) == closure_member(closure, x)
+                assert c.contains(x) == closure_member(closure, x)
 
 
 def test_rebuild_tightens_once(monkeypatch):
@@ -583,10 +583,10 @@ def test_points_of_the_wrong_dimension_are_refused():
     with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
         sf.evaluate_at(sf.indicator(tri), (Fraction(1, 3),))
     with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
-        geo.shift_cell(geo.GridVertex(0, 0), (1,))
+        geo.GridVertex(0, 0).shift((1,))
     with pytest.raises(ValueError, match="point has 2 coordinates, got 3"):
-        geo.shift_cell(geo.GridVertex(0, 0), (1, 2, 3))
+        geo.GridVertex(0, 0).shift((1, 2, 3))
     with pytest.raises(ValueError, match="point has 2 coordinates, got 1"):
-        geo.shift_cell(geo.decompose_cells(square)[0], (5,))
+        geo.decompose_cells(square)[0].shift((5,))
     assert geo.translate(tri, (1, 2)) == geo.grid_set(1, 2, 2, 3, 3, 4)
     assert geo.contains_point(square, (0, 1))

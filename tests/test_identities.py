@@ -164,7 +164,7 @@ def _fraction_holds(c):
     """The identity product on Fraction weights: from the Fraction unit,
     one round trip through the closed basis per face, no early exit."""
     p = c.polytope
-    fn = sf.unit(geo.ambient_of(p))
+    fn = sf.unit(p.ambient)
     for face in c.faces:
         diff = {p: 1}
         diff[face] = diff.get(face, 0) - 1
@@ -215,7 +215,7 @@ def test_id_holds_matches_fraction_oracle_on_random_faces(rng):
 
 def test_closed_basis_keeps_the_weight_type():
     square = geo.box((0, 0), (1, 1))
-    ints = sf.from_closed(square.arrangement, {square: 1, geo.box_point((0, 0)): -1})
+    ints = sf.from_closed(square.ambient, {square: 1, geo.box_point((0, 0)): -1})
     fractions = sf.indicator(square) - sf.indicator(geo.box_point((0, 0)))
     assert ints == fractions
     assert all(type(w) is int for w in sf._closed_basis(ints).values())

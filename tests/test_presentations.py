@@ -131,7 +131,7 @@ def test_coxeter_generator_images():
     assert ring.phi(LaurentPoly.var("z")) == sf.indicator(geo.unit_triangle())
     assert ring.phi(LaurentPoly.var("y3")) == sf.indicator(
         geo.grid_set(0, 1, 0, 1, 1, 1))
-    assert ring.phi(LaurentPoly.const(1)) == sf.unit(geo.GridPlane())
+    assert ring.phi(LaurentPoly.const(1)) == sf.unit(geo.GRID)
     inv = ring.phi(LaurentPoly.var("z", -1))
     assert inv.terms == {geo.GridTriDown(-1, -1): 1}
 
@@ -325,7 +325,7 @@ def _unsplit_image(ring, m) -> sf.SimpleFunction:
         dilated = geo.scale(ring.generators[name].polytope, abs(exp))
         factors.append({dilated: 1} if exp > 0 else
                        {f: (-1) ** geo.dim(f) for f in geo.faces(geo.negate(dilated))})
-    basis = {geo.origin_of(ring.ambient): 1}
+    basis = {ring.ambient.origin(): 1}
     for factor in sorted(factors, key=len):
         basis = sf.closed_product(basis, factor)
     return sf.from_closed(ring.ambient, basis)
@@ -418,8 +418,8 @@ def test_phi_with_rational_coefficients_matches_unsplit_images(ring_id, data):
     if witness is not None:
         assert type(witness[1]) is Fraction
         assert witness[1] == sf.evaluate_at(expected, witness[0]) != 0
-        first = min(image.terms, key=geo.cell_sort_key)
-        assert witness == (geo.cell_representative(first), image.terms[first])
+        first = min(image.terms, key=lambda c: c.sort_key())
+        assert witness == (first.representative(), image.terms[first])
 
 
 # -- the packed-key image path against the cell fold it replaced -------------
@@ -441,7 +441,7 @@ RUN_RINGS = {
 def _cell_fold(ring, f) -> tuple:
     """(nonzero int weight per cell, D): the image of D * f as the image
     path folded it before packed keys.  Each term's shape image is its
-    closed basis decomposed into cells, moved cell by cell with shift_cell,
+    closed basis decomposed into cells, moved cell by cell with Cell.shift,
     and the int weights are summed per cell; line cells are then
     canonicalised by the breakpoint sweep of tests/cellfold.py."""
     den = math.lcm(*(c.denominator for c in f.terms.values()))
@@ -451,7 +451,7 @@ def _cell_fold(ring, f) -> tuple:
         image = _unsplit_image(ring, shape)
         for cell, q in image.terms.items():
             if offset is not None:
-                cell = geo.shift_cell(cell, offset)
+                cell = cell.shift(offset)
             acc[cell] = acc.get(cell, 0) + c.numerator * (den // c.denominator) * q
     return cellfold.canonical(ring.ambient, acc), den
 
@@ -482,8 +482,8 @@ def test_run_path_matches_the_cell_fold(ring_id, data):
     terms, den = _cell_fold(ring, f)
     assert ring.kernel_member(f) == (not terms)
     if terms:
-        first = min(terms, key=geo.cell_sort_key)
-        assert ring.kernel_witness(f) == (geo.cell_representative(first),
+        first = min(terms, key=lambda c: c.sort_key())
+        assert ring.kernel_witness(f) == (first.representative(),
                                           Fraction(terms[first], den))
     else:
         assert ring.kernel_witness(f) is None

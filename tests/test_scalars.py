@@ -38,9 +38,6 @@ def test_rationality_and_coercion():
     assert Scalar.of(Fraction(7, 3)).is_rational
     assert not Scalar.sqrt2().is_rational
     assert Scalar.of(2) == 2
-    assert Scalar.of(Fraction(1, 2)).as_fraction() == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        Scalar.sqrt2().as_fraction()
 
 
 def test_formatting():

@@ -60,7 +60,7 @@ def test_multiply_edges_give_rhombus():
 
 
 def test_multiply_unit():
-    one = sf.unit(geo.GridPlane())
+    one = sf.unit(geo.GRID)
     f = sf.indicator(TRI) - 2 * sf.indicator(OA_EDGE, "interior")
     assert sf.multiply(one, f) == f
 
@@ -92,7 +92,7 @@ def test_is_zero_examples():
 
 def test_euler_characteristic():
     assert sf.euler_char(sf.indicator(TRI)) == 1
-    assert sf.euler_char(sf.zero(geo.GridPlane())) == 0
+    assert sf.euler_char(sf.zero(geo.GRID)) == 0
     assert sf.euler_char(sf.indicator(OA_EDGE, "interior")) == -1
 
 
@@ -105,7 +105,7 @@ def test_multiply_commutative_associative(rng):
             f = sf.indicator(rng.choice(pool))
             for cell, q in f.terms.items():
                 terms[cell] = terms.get(cell, Fraction(0)) + q * rng.randint(-2, 2)
-        return sf.SimpleFunction(geo.GridPlane(), terms)
+        return sf.SimpleFunction(geo.GRID, terms)
 
     for _ in range(5):
         f, g, h = rand_fn(), rand_fn(), rand_fn()
@@ -280,8 +280,8 @@ EVAL_RINGS = {
 def _holds(c, x) -> bool:
     """x in the open cell c, from its closure's bounds written out per form:
     equal to a pinned bound, strictly between free ones."""
-    closure = geo.cell_closure(c)
-    values = [sum(k * xi for k, xi in zip(row, x)) for row in closure.arrangement.forms]
+    closure = c.closure()
+    values = [sum(k * xi for k, xi in zip(row, x)) for row in closure.ambient.forms]
     return all(v == lo if lo == hi else lo < v < hi
                for lo, hi, v in zip(closure.los, closure.his, values))
 
@@ -309,13 +309,13 @@ def test_evaluate_at_matches_the_scan_of_every_cell(ring_id, data):
         m = monomial(exps)
         coeffs[m] = coeffs.get(m, 0) + c
     f = ring.phi(LaurentPoly(coeffs))
-    cells = sorted(f.terms, key=geo.cell_sort_key)
+    cells = sorted(f.terms, key=lambda c: c.sort_key())
     sampled = data.draw(st.lists(st.sampled_from(cells), max_size=12)) if cells else []
 
     def point(coordinate):
         return data.draw(st.tuples(*[coordinate] * ring.ambient.d))
 
-    points = [geo.cell_representative(c) for c in sampled]
+    points = [c.representative() for c in sampled]
     points += [_anchor(c) for c in sampled]
     points += [point(st.integers(-6, 6)) for _ in range(4)]
     points += [point(st.integers(-36, 36).map(lambda k: Fraction(k, 6))) for _ in range(8)]
@@ -323,15 +323,15 @@ def test_evaluate_at_matches_the_scan_of_every_cell(ring_id, data):
         value = sf.evaluate_at(f, x)
         assert type(value) is Fraction and value == _scan(f, x)
     for c in sampled:
-        assert sf.evaluate_at(f, geo.cell_representative(c)) == f.terms[c] != 0
+        assert sf.evaluate_at(f, c.representative()) == f.terms[c] != 0
 
 
 def test_public_results_carry_fraction_weights(rng):
     for _ in range(20):
         p, q = random_family_polytope(rng), random_family_polytope(rng)
-        results = [sf.indicator(p), sf.indicator(p, "interior"), sf.unit(geo.ambient_of(p)),
+        results = [sf.indicator(p), sf.indicator(p, "interior"), sf.unit(p.ambient),
                    sf.combine([Fraction(1, 2), 3], [sf.indicator(p), sf.indicator(p)])]
-        if geo.ambient_of(p) == geo.ambient_of(q):
+        if p.ambient == q.ambient:
             results += [sf.multiply(sf.indicator(p), sf.indicator(q, "interior")),
                         sf.multiply_by_indicator(sf.indicator(p, "interior"), q)]
         for f in results:

@@ -59,7 +59,7 @@ def raw_maps(draw, ambient, max_cells=5):
     for cell, w in draw(st.lists(st.tuples(st.sampled_from(pool), WEIGHTS), max_size=8)):
         raw[cell] = raw.get(cell, 0) + w
     if raw and draw(st.booleans()):  # cancel one cell outright
-        cell = draw(st.sampled_from(sorted(raw, key=geo.cell_sort_key)))
+        cell = draw(st.sampled_from(sorted(raw, key=lambda c: c.sort_key())))
         raw[cell] = 0
     return raw
 
@@ -69,7 +69,7 @@ def points(ambient, maps, width):
     among them points whose cell's key at width, unguarded, would overflow
     into the key of a cell of the maps."""
     cells = [c for terms in maps for c in terms]
-    xs = [geo.cell_representative(c) for c in cells]
+    xs = [c.representative() for c in cells]
     if isinstance(ambient, geo.Line):
         xs += [c.at + Fraction(1, 2) if isinstance(c, geo.Point1D) else c.hi for c in cells]
     else:
