@@ -306,8 +306,7 @@ def catalog_polytope(name: str):
     if name.startswith("interval:"):
         a, b = _endpoints(name, name[len("interval:"):])
         seg = geo.interval(a, b)
-        table = {"vertex:lo": geo.line_point(a, seg.mode),
-                 "vertex:hi": geo.line_point(b, seg.mode),
+        table = {"vertex:lo": geo.line_point(a), "vertex:hi": geo.line_point(b),
                  "self": seg}
         return seg, table
     raise ValueError(f"unknown polytope {name!r} "

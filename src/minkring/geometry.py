@@ -11,9 +11,9 @@ one of its bounds.  Each family keeps its geometry in its ambient, its
 polytope class and its cell kinds, which answer what the module-level
 functions ask; points are in the ambient's coordinates:
 
-* a :class:`Line`, in the scalar mode 'rational' or 'sqrt2', has the one
-  form t, Scalar points, closed intervals (:class:`Interval`) with ends in
-  Q or Q(sqrt 2), and the cells :class:`Point1D`, :class:`OpenInterval1D`;
+* the one real line :data:`LINE` has the one form t, Scalar points, closed
+  intervals (:class:`Interval`) with ends in Q(sqrt 2), rational ends
+  included, and the cells :class:`Point1D`, :class:`OpenInterval1D`;
 * an :class:`Arrangement` has integer linear forms on R^d, the coordinates
   first, coordinate tuples as points, a fine lattice (1/N)Z^d, lattice sets
   (:class:`LatticeSet`) and the cell kinds of its table
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, eq, ge, gt, itemgetter, mul, ne, sub
@@ -107,24 +106,17 @@ _cell = tuple.__new__  # (kind, (kind, *data)): a cell of known data
 # the line
 
 
-@dataclass(frozen=True)
 class Line:
-    """The real line in a scalar mode, 'rational' or 'sqrt2', with the one
-    form t.  Its keys are not packed, so every key width is 0."""
+    """The real line, with the one form t: its points are the Scalars of
+    Q(sqrt 2).  Every interval lies on the one :data:`LINE`, and equality is
+    identity.  Its keys are not packed, so every key width is 0."""
 
-    mode: str = "rational"
     dims = {(True,): 0, (False,): 1}  # per tuple of pinned flags: the dimension
-
-    def __post_init__(self):
-        if self.mode not in ("rational", "sqrt2"):
-            raise ValueError(f"unknown line mode {self.mode!r} (choose rational or sqrt2)")
 
     def rebuild(self, los, his) -> "Interval":
         (lo,), (hi,) = los, his
         if (hi - lo).sign() < 0:
             raise EmptyRegionError(f"interval needs lo <= hi, got [{lo}, {hi}]")
-        if self.mode == "rational" and not (lo.is_rational and hi.is_rational):
-            raise ValueError("irrational endpoint in rational-mode interval")
         return tuple.__new__(Interval, (self, (lo,), (hi,)))
 
     def origin(self) -> "Interval":
@@ -182,36 +174,37 @@ class Line:
     def key_at(self, x, width: int) -> tuple:
         return Scalar.of(x), 0
 
+    def __repr__(self) -> str:
+        return "Line()"
+
+
+LINE = Line()
+
 
 class Interval(Polytope):
-    """Closed 1-D interval [lo, hi] of a line; lo == hi gives a point."""
+    """Closed interval [lo, hi] of the line; lo == hi gives a point."""
 
     __slots__ = ()
 
-    def __new__(cls, lo: ScalarLike, hi: ScalarLike, mode: str = "rational"):
-        return Line(mode).rebuild((Scalar.of(lo),), (Scalar.of(hi),))
+    def __new__(cls, lo: ScalarLike, hi: ScalarLike):
+        return LINE.rebuild((Scalar.of(lo),), (Scalar.of(hi),))
 
     lo = property(lambda self: self[1][0])
     hi = property(lambda self: self[2][0])
-    mode = property(lambda self: self[0].mode)
 
     def order(self) -> tuple:  # of one dimension: by the (p, q) parts of the ends
         lo, hi = self.lo, self.hi
         return lo.p, lo.q, hi.p, hi.q
 
     def __repr__(self) -> str:
-        return f"Interval(lo={self.lo!r}, hi={self.hi!r}, mode={self.mode!r})"
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
 
-def interval(lo: ScalarLike, hi: ScalarLike, mode: str | None = None) -> Interval:
-    lo, hi = Scalar.of(lo), Scalar.of(hi)
-    if mode is None:
-        mode = "rational" if lo.is_rational and hi.is_rational else "sqrt2"
-    return Interval(lo, hi, mode)
+interval = Interval
 
 
-def line_point(at: ScalarLike, mode: str | None = None) -> Interval:
-    return interval(at, at, mode)
+def line_point(at: ScalarLike) -> Interval:
+    return Interval(at, at)
 
 
 class LineCell(Cell):
@@ -224,8 +217,8 @@ class LineCell(Cell):
         lo, hi = self[1], self[-1]
         return (0, 0, lo.p, lo.q) if self.DIM == 0 else (1, 1, lo.p, lo.q, hi.p, hi.q)
 
-    def closure(self, line_mode: str | None = None) -> Interval:  # else the ends' mode
-        return interval(self[1], self[-1], line_mode)
+    def closure(self) -> Interval:
+        return Interval(self[1], self[-1])
 
     def representative(self):
         return (self[1] + self[-1]) / 2
@@ -331,10 +324,7 @@ class Arrangement:
     every cell.  ``name`` and ``labels`` (one per form, or none) spell its
     lattice sets, of class ``family``, and cells.  A product arrangement
     lists its ``parts``, each an arrangement and the indices of its forms.
-    It is the ambient space of its lattice sets; equality is identity.  It
-    has no scalar ``mode``: its cells close without one."""
-
-    mode = None
+    It is the ambient space of its lattice sets; equality is identity."""
 
     def __init__(self, name: str, labels: tuple, forms: tuple, fine: int,
                  family: type, cell_names: tuple = (), parts: tuple = ()):
@@ -622,7 +612,7 @@ class LatticeCell(Cell):
     def sort_key(self) -> tuple:
         return (self[0].DIM, self[0].RANK) + self[1:]
 
-    def closure(self, line_mode: str | None = None) -> LatticeSet:
+    def closure(self) -> LatticeSet:
         kind = self[0]
         at = kind.ARRANGEMENT.values(self[1:])
         return _lattice_set(kind.ARRANGEMENT, tuple(map(add, at, kind.LO)),

@@ -121,8 +121,8 @@ def id_context(c: CoverSpec) -> tuple:
         else:
             pres = interval_ring(p.lo, p.hi, mode="laurent", naming="xyz")
             sym = {p: LaurentPoly.var("z"),
-                   geo.Interval(p.lo, p.lo, p.mode): LaurentPoly.var("x"),
-                   geo.Interval(p.hi, p.hi, p.mode): LaurentPoly.var("y")}
+                   geo.line_point(p.lo): LaurentPoly.var("x"),
+                   geo.line_point(p.hi): LaurentPoly.var("y")}
         poly = sym.__getitem__
     elif isinstance(p, geo.GridSet):
         pres, poly = coxeter_ring(), lambda f: first_normal_form(f)[1]

@@ -12,7 +12,9 @@ algebra) that inverse is a signed sum of closed faces,
     (-1)^d [relint(-P)] = sum over faces F of -P of (-1)^(dim F) [F],
 
 so a point generator's inverse is a translation, a segment's has three
-terms and the unit triangle's seven.
+terms and the unit triangle's seven.  In a Laurent presentation every
+generator is invertible, in a polynomial one none is: the mode alone
+decides whether a monomial may carry a negative power.
 
 A generator whose polytope is a point is a translation, so every monomial
 splits into a *shape*, its factors on the other generators, and an
@@ -72,7 +74,6 @@ class WitnessError(ValueError):
 class Generator:
     name: str
     polytope: Polytope
-    invertible: bool
 
 
 class Presentation:
@@ -119,14 +120,13 @@ class Presentation:
         """(shape, offset) of a monomial: its factors on generators that are
         not points, and the sum of exp * point over the others, in the
         coordinates of geo.translate (None when there are none).  Checks
-        every factor, in order, for an unknown name or a negative power of
-        a non-invertible generator."""
+        every factor, in order, for an unknown name or a negative power in
+        a polynomial presentation."""
         shape, moves = [], []
         for name, exp in m:
-            gen = self.generators.get(name)
-            if gen is None:
+            if name not in self.generators:
                 raise KeyError(f"unknown generator {name!r} in ring {self.ring_id}")
-            if exp < 0 and (self.mode != "laurent" or not gen.invertible):
+            if exp < 0 and self.mode != "laurent":
                 raise NonInvertibleError(
                     f"negative exponent on non-invertible generator {name!r}"
                 )
@@ -206,8 +206,8 @@ class Presentation:
         lines = ["minkring-presentation v1",
                  f"ring: {self.ring_id}",
                  f"mode: {self.mode}"]
+        inv = " (invertible)" if self.mode == "laurent" else ""
         for g in self.generators.values():
-            inv = " (invertible)" if g.invertible else ""
             lines.append(f"generator: {g.name} -> {g.polytope.ambient.text(g.polytope)}{inv}")
         for p in self.declared:
             lines.append(f"kernel-generator: {p}")
@@ -233,36 +233,29 @@ class PrincipalIdeal:
     shape: PrincipalShape
     mode: str
     generators: Tuple[LaurentPoly, ...]
-    whole_ring: bool = False
+
+    @property
+    def whole_ring(self) -> bool:
+        return self.generators == (LaurentPoly.const(1),)
 
     def text(self) -> str:
-        if self.whole_ring:
-            return "1"
-        if not self.generators:
-            return "0"
-        return ", ".join(str(g) for g in self.generators)
+        return ", ".join(map(str, self.generators)) or "0"
 
 
 def classify_principal(shape: PrincipalShape, mode: str = "polynomial") -> PrincipalIdeal:
     """Kernel of the one-generator surjection for each shape of closed
     convex set, in polynomial or Laurent form."""
-    x = LaurentPoly.var("x")
-    one = LaurentPoly.const(1)
-    if mode == "polynomial":
-        table = {
-            PrincipalShape.EMPTY: (x,),
-            PrincipalShape.ORIGIN: (x - one,),
-            PrincipalShape.SELF_SIMILAR: (x * (x - one),),
-            PrincipalShape.BOUNDED: (),
-        }
-        return PrincipalIdeal(shape, mode, table[shape])
-    if mode == "laurent":
-        if shape is PrincipalShape.EMPTY:
-            return PrincipalIdeal(shape, mode, (one,), whole_ring=True)
-        if shape in (PrincipalShape.ORIGIN, PrincipalShape.SELF_SIMILAR):
-            return PrincipalIdeal(shape, mode, (x - one,))
-        return PrincipalIdeal(shape, mode, ())
-    raise ValueError(f"unknown mode {mode!r}")
+    x, one = LaurentPoly.var("x"), LaurentPoly.const(1)
+    tables = {
+        "polynomial": {PrincipalShape.EMPTY: (x,), PrincipalShape.ORIGIN: (x - one,),
+                       PrincipalShape.SELF_SIMILAR: (x * (x - one),),
+                       PrincipalShape.BOUNDED: ()},
+        "laurent": {PrincipalShape.EMPTY: (one,), PrincipalShape.ORIGIN: (x - one,),
+                    PrincipalShape.SELF_SIMILAR: (x - one,), PrincipalShape.BOUNDED: ()},
+    }
+    if mode not in tables:
+        raise ValueError(f"unknown mode {mode!r}")
+    return PrincipalIdeal(shape, mode, tables[mode][shape])
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +263,12 @@ def classify_principal(shape: PrincipalShape, mode: str = "polynomial") -> Princ
 
 
 def _ratio(alpha: Scalar, beta: Scalar) -> Optional[Fraction]:
-    """alpha/beta as a Fraction when the ratio is rational, else None."""
-    if beta.p != 0 and beta.q != 0:
-        r1, r2 = alpha.p / beta.p, alpha.q / beta.q
-        return r1 if r1 == r2 else None
-    if beta.q == 0:
-        return alpha.p / beta.p if alpha.q == 0 else None
-    return alpha.q / beta.q if alpha.p == 0 else None
+    """alpha/beta, beta nonzero, as a Fraction when the ratio is rational,
+    else None: a + b sqrt2 = r (c + d sqrt2) for a rational r exactly when
+    ad = bc."""
+    if alpha.p * beta.q != alpha.q * beta.p:
+        return None
+    return alpha.p / beta.p if beta.p else alpha.q / beta.q
 
 
 @lru_cache(maxsize=None)
@@ -296,20 +288,17 @@ def interval_ring(alpha: ScalarLike, beta: ScalarLike, mode: str = "polynomial",
     if (beta - alpha).sign() < 0:
         raise ValueError(f"interval needs alpha < beta, got ({alpha}, {beta})")
     seg = geo.interval(alpha, beta)
-    invertible = mode == "laurent"
     x, y, z = (LaurentPoly.var(n) for n in "xyz")
     ring_id = f"interval:{alpha},{beta}:{mode}"
 
     if Scalar.of(0) in (alpha, beta) and naming != "xyz":
         other = beta if alpha == Scalar.of(0) else alpha
-        gens = [Generator("x", geo.line_point(other, seg.mode), invertible),
-                Generator("y", seg, invertible)]
+        gens = [Generator("x", geo.line_point(other)), Generator("y", seg)]
         declared = [(y - 1) * (y - x)]
         return Presentation(ring_id, mode, gens, declared)
 
-    gens = [Generator("x", geo.line_point(alpha, seg.mode), invertible),
-            Generator("y", geo.line_point(beta, seg.mode), invertible),
-            Generator("z", seg, invertible)]
+    gens = [Generator("x", geo.line_point(alpha)), Generator("y", geo.line_point(beta)),
+            Generator("z", seg)]
     declared = [(z - x) * (z - y)]
     if alpha == Scalar.of(0):
         declared.append(x - 1)
@@ -344,8 +333,8 @@ def box_ring(d: int, signed: bool = False) -> Presentation:
         xn = "x" if d == 1 else f"x{i + 1}"
         yn = "y" if d == 1 else f"y{i + 1}"
         e_i = tuple(1 if j == i else 0 for j in range(d))
-        gens.append(Generator(xn, geo.box_point(e_i), signed))
-        gens.append(Generator(yn, geo.box((0,) * d, e_i), signed))
+        gens.append(Generator(xn, geo.box_point(e_i)))
+        gens.append(Generator(yn, geo.box((0,) * d, e_i)))
         x, y = LaurentPoly.var(xn), LaurentPoly.var(yn)
         declared.append((y - 1) * (y - x))
     ring_id = f"box:{d}" + (":signed" if signed else "")
@@ -393,7 +382,7 @@ def coxeter_ring() -> Presentation:
     edges, and the unit triangle.
     """
     polys = grid_generator_polytopes()
-    gens = [Generator(n, p, True) for n, p in polys.items()]
+    gens = [Generator(n, p) for n, p in polys.items()]
     return Presentation("coxeter", "laurent", gens, grid_kernel_generators())
 
 
@@ -450,6 +439,6 @@ def minimality_witness(pres: Presentation, target_index: int,
 @lru_cache(maxsize=None)
 def point_ring(name: str = "u") -> Presentation:
     """Face ring of a single point: one generator mapping to the unit."""
-    gen = Generator(name, geo.box_point((0,)), True)
+    gen = Generator(name, geo.box_point((0,)))
     declared = [LaurentPoly.var(name) - 1]
     return Presentation("point", "laurent", [gen], declared)

@@ -59,11 +59,11 @@ def product_presentation(pl: Presentation, pr: Presentation) -> ProductPresentat
     left_origin = pl.ambient.origin()
     right_origin = pr.ambient.origin()
     gens = [
-        Generator(g.name, geo.product(g.polytope, right_origin), g.invertible)
+        Generator(g.name, geo.product(g.polytope, right_origin))
         for g in pl.generators.values()
     ]
     gens += [
-        Generator(rename[g.name], geo.product(left_origin, g.polytope), g.invertible)
+        Generator(rename[g.name], geo.product(left_origin, g.polytope))
         for g in pr.generators.values()
     ]
     declared = list(pl.declared) + [rename_poly(g, rename) for g in pr.declared]

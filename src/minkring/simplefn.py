@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import geometry as geo
-from .geometry import Ambient, Cell, Line, Polytope
+from .geometry import Ambient, Cell, Polytope
 
 
 class AmbientMismatchError(ValueError):
@@ -48,7 +48,7 @@ class AmbientMismatchError(ValueError):
 def _canonical_line_terms(terms: Mapping[Cell, Fraction]) -> dict:
     """Canonical form on the line: maximal constant open runs + residual
     points, the cells of the nonzero steps of the line's step form."""
-    return SimpleFunction(Line("sqrt2"), terms).terms
+    return SimpleFunction(geo.LINE, terms).terms
 
 
 class SimpleFunction:
@@ -59,7 +59,7 @@ class SimpleFunction:
 
     def __init__(self, ambient: Ambient, terms: Mapping[Cell, Fraction] | None = None):
         terms = {c: Fraction(q) for c, q in (terms or {}).items()}
-        fn = from_closed(ambient, _basis(ambient, terms))
+        fn = from_closed(ambient, _basis(terms))
         self.ambient, self.width, self.deltas = ambient, fn.width, fn.deltas
         self._terms = None
 
@@ -164,18 +164,18 @@ def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
 
 
 @lru_cache(maxsize=None)
-def _cell_faces(cell: Cell, mode) -> tuple:
+def _cell_faces(cell: Cell) -> tuple:
     """(face, sign) pairs of [cell] in the closed basis: inclusion-exclusion
-    over the faces of its closure, which on the line takes the line's mode."""
-    return geo.relint_faces(cell.closure(mode))
+    over the faces of its closure."""
+    return geo.relint_faces(cell.closure())
 
 
-def _basis(ambient: Ambient, terms: Mapping) -> dict:
+def _basis(terms: Mapping) -> dict:
     """A cell map in the basis of closed convex polytopes (cell closures),
     with the map's number type."""
     acc: dict = {}
     for cell, coeff in terms.items():
-        for face, sign in _cell_faces(cell, ambient.mode):
+        for face, sign in _cell_faces(cell):
             acc[face] = acc.get(face, 0) + coeff * sign
     return {p: q for p, q in acc.items() if q}
 
@@ -183,7 +183,7 @@ def _basis(ambient: Ambient, terms: Mapping) -> dict:
 def _closed_basis(f: SimpleFunction) -> dict:
     """Rewrite in the basis of closed convex polytopes (cell closures).
     The weights keep f's number type: ints stay ints, Fractions Fractions."""
-    return _basis(f.ambient, f.terms)
+    return _basis(f.terms)
 
 
 def closed_product(a: Mapping, b: Mapping) -> dict:

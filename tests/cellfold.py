@@ -62,10 +62,9 @@ def combine(ambient, coeffs, maps) -> dict:
 
 
 def closed_basis(ambient, terms) -> dict:
-    mode = ambient.mode if isinstance(ambient, geo.Line) else None
     acc: dict = {}
     for c, w in terms.items():
-        for face, sign in geo.relint_faces(c.closure(mode)):
+        for face, sign in geo.relint_faces(c.closure()):
             acc[face] = acc.get(face, 0) + w * sign
     return {p: q for p, q in acc.items() if q}
 

@@ -161,17 +161,18 @@ def random_box(rng: random.Random, d: int = 2, span: int = 2) -> geo.Box:
     return geo.Box(los, his)
 
 
-def random_interval(rng: random.Random, mode: str = "rational") -> geo.Interval:
+def random_interval(rng: random.Random, irrational: bool = False) -> geo.Interval:
+    """Ends in Q, or with irrational, each in Q(sqrt 2) half the time."""
     def scalar():
         r = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        if mode == "sqrt2" and rng.random() < 0.5:
+        if irrational and rng.random() < 0.5:
             return Scalar(r, Fraction(rng.randint(-2, 2)))
         return Scalar.of(r)
 
     a, b = scalar(), scalar()
     if (b - a).sign() < 0:
         a, b = b, a
-    return geo.Interval(a, b, mode)
+    return geo.Interval(a, b)
 
 
 def random_family_polytope(rng: random.Random) -> geo.Polytope:

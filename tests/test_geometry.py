@@ -44,27 +44,38 @@ def test_minkowski_family_mismatch():
     with pytest.raises(geo.FamilyMismatchError, match=r"GridSet on Arrangement\(grid, "
                                                       r"d=2\) vs Box on Arrangement\(box, d=1\)"):
         geo.minkowski_sum(TRI, geo.box((0,), (1,)))
-    with pytest.raises(geo.FamilyMismatchError, match=r"Interval on Line\(mode='rational'\) "
-                                                      r"vs Interval on Line\(mode='sqrt2'\)"):
-        geo.minkowski_sum(geo.interval(0, 1), geo.interval(0, 1, "sqrt2"))
+    with pytest.raises(geo.FamilyMismatchError, match=r"Interval on Line\(\) "
+                                                      r"vs Box on Arrangement\(box, d=1\)"):
+        geo.minkowski_sum(geo.interval(0, 1), geo.box((0,), (1,)))
     with pytest.raises(geo.FamilyMismatchError, match="GridSet on .* vs int on None"):
         geo.minkowski_sum(TRI, 5)
 
 
 def test_the_line_checks_its_inputs():
-    for build in (lambda: geo.Line("bogus"), lambda: geo.interval(0, 1, "bogus"),
-                  lambda: geo.line_point(0, "bogus"), lambda: geo.Interval(0, 1, "bogus")):
-        with pytest.raises(ValueError, match="unknown line mode 'bogus'"):
-            build()
     # int and Fraction endpoints are taken through Scalar.of
     assert geo.Interval(1, 2) == geo.interval(1, 2)
-    assert geo.Interval(Fraction(1, 2), 2, "sqrt2") == \
-        geo.interval(Scalar.of(Fraction(1, 2)), Scalar.of(2), "sqrt2")
-    assert geo.Interval(0, 1).lo == Scalar.of(0) and geo.Interval(0, 1).mode == "rational"
+    assert geo.Interval(Fraction(1, 2), 2) == \
+        geo.interval(Scalar.of(Fraction(1, 2)), Scalar.of(2))
+    assert geo.Interval(0, 1).lo == Scalar.of(0) and geo.Interval(0, 1).ambient is geo.LINE
     with pytest.raises(geo.EmptyRegionError):
         geo.Interval(2, 1)
-    with pytest.raises(ValueError, match="irrational endpoint"):
-        geo.Interval(0, Scalar.sqrt2())
+    with pytest.raises(geo.EmptyRegionError):
+        geo.Interval(Scalar.sqrt2(), 1)
+
+
+def test_intervals_over_q_and_q_sqrt2_share_the_line():
+    sqrt2 = Scalar.sqrt2()
+    rational, irrational = geo.interval(0, 1), geo.interval(0, sqrt2)
+    assert rational.ambient is irrational.ambient is geo.LINE
+    assert geo.line_point(sqrt2).ambient is geo.LINE and repr(geo.Line()) == "Line()"
+    assert geo.minkowski_sum(rational, irrational) == geo.interval(0, 1 + sqrt2)
+    assert geo.intersect(rational, irrational) == rational
+    f, g = sf.indicator(rational), sf.indicator(irrational)
+    # [0, sqrt2] less [0, 1] is the open-closed (1, sqrt2]
+    assert g - f == sf.indicator(geo.interval(1, sqrt2)) - sf.indicator(geo.line_point(1))
+    assert sf.evaluate_at(f + g, Scalar.of(Fraction(1, 2))) == 2
+    assert f * g == sf.indicator(geo.interval(0, 1 + sqrt2))
+    assert f != g and f + g == g + f
 
 
 def test_triangle_plus_down_triangle_is_hexagon():
@@ -243,7 +254,7 @@ def draw(rng, family: str, small: bool = False) -> geo.Polytope:
     if "*" in family:
         return geo.product(*(draw(rng, part, small=True) for part in family.split("*")))
     if family in ("rational", "sqrt2"):
-        return random_interval(rng, family)
+        return random_interval(rng, irrational=family == "sqrt2")
     if family == "grid":
         return random_gridset(rng, span=1, offset=1) if small else random_gridset(rng)
     d = int(family[3:])
@@ -351,7 +362,7 @@ def test_grid_cells_anchored_at_one_point_hash_apart():
 def offset_for(rng, p: geo.Polytope):
     """A random translation in the coordinates of geo.translate."""
     if isinstance(p, geo.Interval):
-        return random_interval(rng, p.mode).lo
+        return random_interval(rng, irrational=True).lo
     if isinstance(p, geo.ProductPolytope):
         return sum((offset_for(rng, q) for q in p.parts), ())
     d = len(p.los) if isinstance(p, geo.Box) else 2

@@ -80,7 +80,11 @@ def test_irrational_points_all_distinct():
                     assert not ring.kernel_member(diff)
 
 
-@pytest.mark.parametrize("alpha,beta,step", [(1, 2, (2, -1)), (-1, 2, (2, 1))])
+@pytest.mark.parametrize("alpha,beta,step", [
+    (1, 2, (2, -1)), (-1, 2, (2, 1)),
+    # both ends irrational: the ratio is rational all the same
+    (SQRT2, 2 * SQRT2, (2, -1)), (1 + SQRT2, 2 + 2 * SQRT2, (2, -1)),
+    (-SQRT2, 2 * SQRT2, (2, 1)), (-2 * SQRT2, SQRT2, (1, 2))])
 def test_rational_lattice_relations(alpha, beta, step):
     # x^i y^j - x^k y^l is in the kernel exactly when (k, l) - (i, j) is an
     # integer multiple of the predicted step

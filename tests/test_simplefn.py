@@ -76,7 +76,7 @@ def test_squared_negated_open_interval():
 def test_evaluate_examples():
     assert sf.evaluate_at(sf.indicator(geo.line_point(0)), Scalar.of(0)) == 1
     beta = Scalar.sqrt2()
-    f = sf.indicator(geo.interval(0, beta)) - sf.indicator(geo.line_point(beta, "sqrt2"))
+    f = sf.indicator(geo.interval(0, beta)) - sf.indicator(geo.line_point(beta))
     assert sf.evaluate_at(f, beta) == 0
     assert sf.evaluate_at(f, beta / 2) == 1
     rhombus = sf.indicator(geo.grid_set(0, 1, 0, 1, 0, 2))
@@ -143,7 +143,7 @@ def _hull(a, b):
                        tuple(max(x, y) for x, y in zip(a.his, b.his)))
     lo = a.lo if (b.lo - a.lo).sign() >= 0 else b.lo
     hi = a.hi if (a.hi - b.hi).sign() >= 0 else b.hi
-    return geo.Interval(lo, hi, a.mode)
+    return geo.Interval(lo, hi)
 
 
 def test_equal_indicator_sums_have_equal_counts(rng):
@@ -221,7 +221,7 @@ def _line_value(terms, t):
 
 
 def test_line_canonical_form_of_raw_cells(rng):
-    ambient = geo.Line("sqrt2")
+    ambient = geo.LINE
     for _ in range(200):
         pool = sorted({Scalar(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-1, 1)))
                        for _ in range(rng.randint(2, 6))})

@@ -1,7 +1,8 @@
 """The step form of simple functions against the cell-dict fold it replaced
 (tests/cellfold.py): terms, equality, hash, combine, multiply, evaluation,
 the Euler characteristic and the zero test, on lattice ambients whose
-operands carry different key widths and on the line in both modes."""
+operands carry different key widths and on the line, with rational
+scalars only and with rational and sqrt2 scalars mixed."""
 
 from fractions import Fraction
 
@@ -19,9 +20,11 @@ AMBIENTS = {
     "box:2": geo.box_arrangement(2),
     "box:3": geo.box_arrangement(3),
     "box:1 x grid": geo.product_arrangement((geo.box_arrangement(1), geo.GRID)),
-    "line:rational": geo.Line("rational"),
-    "line:sqrt2": geo.Line("sqrt2"),
+    "line:rational": geo.LINE,
+    "line:sqrt2": geo.LINE,
 }
+# line ids whose draws mix in scalars with a sqrt2 part
+IRRATIONAL = {"line:sqrt2"}
 
 # anchors near 0, +-2^31 and +-2^63: keys packed 32, 64 and 96 bits wide
 BASES = (0, (1 << 31) - 3, -(1 << 31) + 3, (1 << 63) - 3, -(1 << 63) + 3)
@@ -35,24 +38,25 @@ def lattice_cells(arr, base):
                      st.tuples(*[st.integers(-2, 2)] * arr.d))
 
 
-def line_scalars(ambient, base):
-    irrational = st.integers(-2, 2) if ambient.mode == "sqrt2" else st.just(0)
+def line_scalars(base, irrational):
+    """Scalars around base; with irrational, the sqrt2 part draws from -2..2."""
+    sqrt2_part = st.integers(-2, 2) if irrational else st.just(0)
     return st.builds(lambda p, q: Scalar(Fraction(base + p), Fraction(q)),
-                     st.integers(-3, 3), irrational)
+                     st.integers(-3, 3), sqrt2_part)
 
 
-def line_cells(ambient, base):
-    point = st.builds(geo.Point1D, line_scalars(ambient, base))
-    pair = st.lists(line_scalars(ambient, base), min_size=2, max_size=2, unique=True)
+def line_cells(base, irrational):
+    point = st.builds(geo.Point1D, line_scalars(base, irrational))
+    pair = st.lists(line_scalars(base, irrational), min_size=2, max_size=2, unique=True)
     return st.one_of(point, pair.map(lambda ab: geo.OpenInterval1D(*sorted(ab))))
 
 
 @st.composite
-def raw_maps(draw, ambient, max_cells=5):
+def raw_maps(draw, ambient, irrational=False, max_cells=5):
     """A cell map drawn around one base, with repeated cells whose weights
     may cancel."""
     base = draw(st.sampled_from(BASES))
-    cells = (line_cells(ambient, base) if isinstance(ambient, geo.Line)
+    cells = (line_cells(base, irrational) if isinstance(ambient, geo.Line)
              else lattice_cells(ambient, base))
     pool = draw(st.lists(cells, min_size=1, max_size=max_cells))
     raw: dict = {}
@@ -84,8 +88,9 @@ def points(ambient, maps, width):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_step_form_matches_the_cell_fold(ambient_id, data):
-    ambient = AMBIENTS[ambient_id]
-    raw_f, raw_g = data.draw(raw_maps(ambient)), data.draw(raw_maps(ambient))
+    ambient, irrational = AMBIENTS[ambient_id], ambient_id in IRRATIONAL
+    raw_f = data.draw(raw_maps(ambient, irrational))
+    raw_g = data.draw(raw_maps(ambient, irrational))
     f, g = sf.SimpleFunction(ambient, raw_f), sf.SimpleFunction(ambient, raw_g)
     ref_f, ref_g = cellfold.canonical(ambient, raw_f), cellfold.canonical(ambient, raw_g)
     assert f.terms == ref_f and g.terms == ref_g
@@ -111,9 +116,9 @@ def test_step_form_matches_the_cell_fold(ambient_id, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_equality_hash_and_combine_ignore_the_key_width(ambient_id, data):
-    ambient = AMBIENTS[ambient_id]
-    f = sf.SimpleFunction(ambient, data.draw(raw_maps(ambient)))
-    far = sf.SimpleFunction(ambient, data.draw(raw_maps(ambient)))
+    ambient, irrational = AMBIENTS[ambient_id], ambient_id in IRRATIONAL
+    f = sf.SimpleFunction(ambient, data.draw(raw_maps(ambient, irrational)))
+    far = sf.SimpleFunction(ambient, data.draw(raw_maps(ambient, irrational)))
     # f + far - far is f, held at the wider of the two widths
     wide = sf.combine([1, 1, -1], [f, far, far])
     assert wide.width == max(f.width, far.width)
