@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
 
@@ -531,16 +532,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
-    """Run one verb and print its answer to ``out`` (stdout by default):
-    0 when the query ran, 1 with one ``error:`` line on stderr otherwise."""
+    """Run one verb, or ``-h``, printing to ``out`` (stdout by default): 0
+    when the query ran, 1 with one ``error:`` line on stderr otherwise."""
     out = out if out is not None else sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        with redirect_stdout(out):  # -h prints its help to stdout, then exits 0
+            args = _parser().parse_args(argv)
         if getattr(args, "payload", None) == "-":
             args.payload = sys.stdin.read().strip()
         # Looked up at call time, so a wrapper rebound to the module
         # attribute (as perfbench/spans.py does) is the one that runs.
         report, text = globals()["cmd_" + args.verb.replace("-", "_")](args)
+    except SystemExit:  # after -h: its help went to out
+        return 0
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -156,7 +156,11 @@ class Line:
             cells += [OpenInterval1D(s, t), Point1D(t)][:1 + past_t]
         return cells
 
-    def fold(self, acc: dict, n, deltas: dict, offset, width: int) -> None:
+    def pieces(self, start: tuple, stop: tuple, width: int) -> list:
+        """(shape, offset, 1) per cell: the cell moved to start at 0, and its left end."""
+        return [(c.shift(-c[1]), c[1], 1) for c in self.cells(start, stop, width)]
+
+    def fold(self, acc: dict, n, deltas: dict, offset, width: int, count: int = 1) -> None:
         """acc += n * deltas, each key moved by the scalar offset (or None)."""
         items = deltas.items() if offset is None else (
             ((t + offset, e), v) for (t, e), v in deltas.items())
@@ -373,6 +377,7 @@ class Arrangement:
              "HI": tuple(f if p else f + 1 for f, p in sig), "POINT": point})
             for rank, (sig, _, point) in enumerate(rows))
         self.kind_of = {kind.SIGNATURE: kind for kind in self.kinds}
+        self.shapes = tuple(_cell(kind, (kind,) + (0,) * d) for kind in self.kinds)
         # per tuple of flags, one per form, whether a lattice set's bounds differ
         # there: the kinds, with their closure bounds, whose closures can lie in it
         self.fitting = {flags: tuple((kind, kind.LO, kind.HI) for kind in self.kinds
@@ -437,18 +442,21 @@ class Arrangement:
             key = (key << width) + a + bias
         return key
 
-    def cells(self, start: int, stop: int, width: int) -> list:
-        """The cells of the keys start <= k < stop, which must differ in the
-        last field only: one kind and anchor prefix, consecutive last
-        coordinates."""
+    def pieces(self, start: int, stop: int, width: int) -> list:
+        """The cells of the keys start <= k < stop, which differ in the last field
+        only, as one (kind's cell at the origin, first anchor, cell count)."""
         mask, bias, key = (1 << width) - 1, 1 << (width - 1), start >> width
         first, head = (start & mask) - bias, ()
         for _ in range(self.d - 1):
             head = ((key & mask) - bias,) + head
             key >>= width
-        kind = self.kinds[key]
-        head = (kind,) + head
-        return [_cell(kind, head + (t,)) for t in range(first, first + stop - start)]
+        return [(self.shapes[key], head + (first,), stop - start)]
+
+    def cells(self, start: int, stop: int, width: int) -> list:
+        """The cells of the keys start <= k < stop: one run of pieces."""
+        [(shape, anchor, count)] = self.pieces(start, stop, width)
+        kind, head = shape[0], (shape[0],) + anchor[:-1]
+        return [_cell(kind, head + (t,)) for t in range(anchor[-1], anchor[-1] + count)]
 
     runs = staticmethod(decompose_runs)
 
@@ -460,15 +468,15 @@ class Arrangement:
         moves = itertools.chain.from_iterable(offsets)
         return key_width(reach + max(map(abs, moves), default=0))
 
-    def fold(self, acc: dict, n, deltas: dict, offset, width: int) -> None:
-        """acc += n * deltas, each key moved by the coordinate tuple offset
-        (or None): one int addition."""
+    def fold(self, acc: dict, n, deltas: dict, offset, width: int, count: int = 1) -> None:
+        """acc += n * deltas moved by offset (or None) and count - 1 more last-axis steps."""
         move = 0
         for a in offset or ():
             move = (move << width) + a
-        for k, v in deltas.items():
-            k += move
-            acc[k] = acc.get(k, 0) + n * v
+        for move in range(move, move + count) if count > 1 else (move,):
+            for k, v in deltas.items():
+                k += move
+                acc[k] = acc.get(k, 0) + n * v
 
     def least(self, deltas: dict, width: int) -> tuple:
         """(cell, value) of the least key with a nonzero difference: the step
@@ -798,6 +806,7 @@ def relint_faces(p: Polytope) -> tuple:
     return tuple((f, (-1) ** (d - dim(f))) for f in faces(p))
 
 
+@lru_cache(maxsize=None)
 def vertices(p: Polytope) -> tuple:
     return tuple(f for f in faces(p) if dim(f) == 0)
 

@@ -14,15 +14,16 @@ since kernels of translated polytopes differ; the anchor is reported next
 to every result.
 
 Every weight in these products is an integer, a product of +-1 face signs:
-:func:`id_holds` multiplies simple functions with int cell weights, and the
-Laurent product of :func:`id_context` keeps int coefficients by the
-coefficient rule of :mod:`minkring.laurent`.
+:func:`id_holds` multiplies step forms with int weights, and the Laurent
+product of :func:`id_context` keeps int coefficients by the coefficient rule
+of :mod:`minkring.laurent`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import geometry as geo
@@ -64,16 +65,18 @@ def cover(polytope: Polytope, faces) -> CoverSpec:
 
 
 def covers_vertices(c: CoverSpec) -> bool:
-    """True when every vertex of the polytope lies in some listed face."""
-    return all(any(geo.contains_polytope(f, v) for f in c.faces)
-               for v in geo.vertices(c.polytope))
+    """True when every vertex of the polytope lies in some listed face, that
+    is, is a vertex of one."""
+    return set(geo.vertices(c.polytope)) <= {v for f in c.faces for v in geo.vertices(f)}
 
 
 def anchored(c: CoverSpec) -> tuple:
     """Translate the polytope so its least vertex, the first in
     polytope_sort_key order, sits at the origin; returns the anchored cover
-    and the applied offset, that vertex's coordinates negated."""
+    (c itself for a zero offset) and the offset, its coordinates negated."""
     off = geo.vertex_coords(geo.negate(geo.vertices(c.polytope)[0]))
+    if not any(c.polytope.ambient.shift(off)):
+        return c, off
     moved = CoverSpec(geo.translate(c.polytope, off),
                       tuple(geo.translate(f, off) for f in c.faces))
     return moved, off
@@ -81,20 +84,18 @@ def anchored(c: CoverSpec) -> tuple:
 
 def id_holds(c: CoverSpec) -> bool:
     """Semantic truth of the identity: the expanded product of the
-    indicator differences is the zero function.  Each factor is one round
-    trip from cells to the closed basis and back, on int weights."""
-    p = c.polytope
-    ambient = p.ambient
-    fn = sf.from_closed(ambient, {ambient.origin(): 1})
+    indicator differences is the zero function: the first difference times
+    each next one by times_closed, on int weights, to the first zero."""
+    p, fn = c.polytope, None
     for face in c.faces:
-        diff = {p: 1}
-        diff[face] = diff.get(face, 0) - 1
-        fn = sf.from_closed(ambient, sf.closed_product(sf._closed_basis(fn), diff))
+        diff = {p: 1, face: -1} if face != p else {}  # [P] - [P] is zero
+        fn = sf.from_closed(p.ambient, diff) if fn is None else sf.times_closed(fn, diff)
         if sf.is_zero(fn):
             return True
-    return sf.is_zero(fn)
+    return False
 
 
+@lru_cache(maxsize=None)
 def _box_poly(face: geo.Box) -> LaurentPoly:
     """Laurent preimage of a box face in the box ring (anchored coordinates
     assumed): the one monomial of its low corner and its side lengths."""

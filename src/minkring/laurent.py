@@ -176,7 +176,8 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._coerce(other))
+        return fold_terms(((m, -c) for m, c in self._coerce(other)._terms.items()),
+                          dict(self._terms))
 
     def __rsub__(self, other) -> "LaurentPoly":
         return self._coerce(other) - self

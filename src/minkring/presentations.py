@@ -271,10 +271,9 @@ def _ratio(alpha: Scalar, beta: Scalar) -> Optional[Fraction]:
     return alpha.p / beta.p if beta.p else alpha.q / beta.q
 
 
-@lru_cache(maxsize=None)
 def interval_ring(alpha: ScalarLike, beta: ScalarLike, mode: str = "polynomial",
                   naming: str = "auto") -> Presentation:
-    """Ring of a closed interval and its endpoints.
+    """Ring of a closed interval and its endpoints, built once per ring.
 
     The declared kernel generators follow the four isomorphism classes:
     one endpoint zero; irrational endpoint ratio; rational ratio of equal
@@ -282,16 +281,20 @@ def interval_ring(alpha: ScalarLike, beta: ScalarLike, mode: str = "polynomial",
     zero-endpoint case keeps all three generators (the unit generator stays
     explicit) instead of the relabeled two-generator form.
     """
-    alpha, beta = Scalar.of(alpha), Scalar.of(beta)
+    return _interval_ring(Scalar.of(alpha), Scalar.of(beta), mode, naming == "xyz")
+
+
+@lru_cache(maxsize=None)
+def _interval_ring(alpha: Scalar, beta: Scalar, mode: str, xyz: bool) -> Presentation:
     if alpha == beta:
         raise ValueError(f"degenerate interval [{alpha}, {beta}]")
     if (beta - alpha).sign() < 0:
         raise ValueError(f"interval needs alpha < beta, got ({alpha}, {beta})")
     seg = geo.interval(alpha, beta)
     x, y, z = (LaurentPoly.var(n) for n in "xyz")
-    ring_id = f"interval:{alpha},{beta}:{mode}"
+    ring_id = f"interval:{alpha},{beta}:{mode}" + (":xyz" if xyz else "")
 
-    if Scalar.of(0) in (alpha, beta) and naming != "xyz":
+    if Scalar.of(0) in (alpha, beta) and not xyz:
         other = beta if alpha == Scalar.of(0) else alpha
         gens = [Generator("x", geo.line_point(other)), Generator("y", seg)]
         declared = [(y - 1) * (y - x)]
@@ -313,18 +316,21 @@ def interval_ring(alpha: ScalarLike, beta: ScalarLike, mode: str = "polynomial",
             else:
                 declared.append(
                     LaurentPoly.term({"x": n, "y": m}) - LaurentPoly.const(1))
-    return Presentation(ring_id + (":xyz" if naming == "xyz" else ""),
-                        mode, gens, declared)
+    return Presentation(ring_id, mode, gens, declared)
 
 
 # ---------------------------------------------------------------------------
 # box rings
 
 
-@lru_cache(maxsize=None)
 def box_ring(d: int, signed: bool = False) -> Presentation:
     """Ring of the d-dimensional integer boxes: a point and a unit segment
-    per axis, with one quadratic relation per axis."""
+    per axis, with one quadratic relation per axis; built once per (d, signed)."""
+    return _box_ring(d, bool(signed))
+
+
+@lru_cache(maxsize=None)
+def _box_ring(d: int, signed: bool) -> Presentation:
     if not 1 <= d <= 4:
         raise ValueError("box_ring supports 1 <= d <= 4")
     mode = "laurent" if signed else "polynomial"

@@ -30,6 +30,7 @@ the core relation (y3 - x1)(z - 1) = x2 (z - 1 - x1 + x1 z^-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import geometry as geo
 from .geometry import (GridEdgeS, GridEdgeU, GridEdgeV, GridSet, GridTriDown,
@@ -122,6 +123,7 @@ def hexagon_counts(s: GridSet) -> NormalFormParams:
     )
 
 
+@lru_cache(maxsize=None)
 def first_normal_form(s: GridSet) -> tuple:
     """Traversal parameters and the Laurent preimage x1^a x2^b c_S."""
     p = hexagon_counts(s)

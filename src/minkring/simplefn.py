@@ -18,10 +18,12 @@ face lattice,
 
     [interior P] = sum over faces F of (-1)^(dim P - dim F) [F],
 
-rewrites any open cell in that basis.  The ring's one product, [P]*[Q] =
-[P+Q] extended bilinearly, is :func:`closed_product`, and :func:`from_closed`
-folds the runs of each polytope of a closed-basis element; every
-multiplication goes through the two.
+rewrites any open cell in that basis.  [P]*[Q] = [P+Q], extended
+bilinearly, is :func:`closed_product`, and :func:`from_closed` folds the
+runs of each polytope of a closed-basis element.  The ring's one product,
+:func:`times_closed`, keeps the step form: by translation invariance it folds
+the cached image of each run's shape (a cell at the origin) times the other
+factor, moved along the run.
 
 The trusted constructor ``SimpleFunction._trusted`` neither copies nor
 re-wraps its dict.  Its invariant: every delta is nonzero, the keys are at
@@ -163,19 +165,12 @@ def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
     return SimpleFunction._trusted(ambient, width, {k: v for k, v in acc.items() if v})
 
 
-@lru_cache(maxsize=None)
-def _cell_faces(cell: Cell) -> tuple:
-    """(face, sign) pairs of [cell] in the closed basis: inclusion-exclusion
-    over the faces of its closure."""
-    return geo.relint_faces(cell.closure())
-
-
 def _basis(terms: Mapping) -> dict:
     """A cell map in the basis of closed convex polytopes (cell closures),
-    with the map's number type."""
+    with the map's number type: inclusion-exclusion over each closure's faces."""
     acc: dict = {}
     for cell, coeff in terms.items():
-        for face, sign in _cell_faces(cell):
+        for face, sign in geo.relint_faces(cell.closure()):
             acc[face] = acc.get(face, 0) + coeff * sign
     return {p: q for p, q in acc.items() if q}
 
@@ -212,18 +207,40 @@ def from_closed(ambient: Ambient, basis: Mapping) -> SimpleFunction:
     return SimpleFunction._trusted(ambient, width, {k: v for k, v in deltas.items() if v})
 
 
+@lru_cache(maxsize=None)
+def _shape_image(shape: Cell, basis: tuple) -> tuple:
+    """(reach, image) of [shape], a cell at the origin, times basis pairs."""
+    ambient, closed = shape.closure().ambient, closed_product(_basis({shape: 1}), dict(basis))
+    return ambient.reach(closed), from_closed(ambient, closed)
+
+
+def times_closed(f: SimpleFunction, basis: Mapping) -> SimpleFunction:
+    """f times a closed-basis element: per run of f's cells, its shape's cached
+    image moved to each cell, as a presentation moves a monomial's shape image."""
+    ambient, items = f.ambient, tuple(basis.items())
+    pieces = [(v, _shape_image(shape, items), offset, count)
+              for start, stop, v in geo.steps(f.deltas)
+              for shape, offset, count in ambient.pieces(start, stop, f.width)]
+    width = ambient.width(max((reach + count - 1 for _, (reach, _), _, count in pieces),
+                              default=0), [offset for _, _, offset, _ in pieces])
+    acc = {}
+    for v, (_, image), offset, count in pieces:
+        ambient.fold(acc, v, _deltas_at(image, width), offset, width, count)
+    return SimpleFunction._trusted(ambient, width, {k: v for k, v in acc.items() if v})
+
+
 def multiply_by_indicator(f: SimpleFunction, p: Polytope) -> SimpleFunction:
     """Ring product f * [p] for a single closed convex polytope p."""
     if p.ambient != f.ambient:
         raise AmbientMismatchError(f"{p.ambient} vs {f.ambient}")
-    return from_closed(f.ambient, closed_product(_closed_basis(f), {p: 1}))
+    return times_closed(f, {p: 1})
 
 
 def multiply(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
     """The Minkowski-ring product, extended bilinearly from [P]*[Q] = [P+Q]."""
     if f.ambient != g.ambient:
         raise AmbientMismatchError(f"{f.ambient} vs {g.ambient}")
-    return from_closed(f.ambient, closed_product(_closed_basis(f), _closed_basis(g)))
+    return times_closed(f, _closed_basis(g))
 
 
 def evaluate_at(f: SimpleFunction, x) -> Fraction:

@@ -447,9 +447,11 @@ def test_usage_errors_are_one_line_errors(capsys):
         err = capsys.readouterr().err.splitlines()
         assert code == 1 and report == ""
         assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
-    with pytest.raises(SystemExit) as exit_:
-        main(["--help"], io.StringIO())
-    assert exit_.value.code == 0
+    for argv in (["--help"], ["member", "-h"], ["identity", "--polytope", "square", "--help"]):
+        out = io.StringIO()
+        assert main(argv, out) == 0
+        assert out.getvalue().startswith("usage: minkring")
+        assert capsys.readouterr() == ("", "")  # nothing on stdout or stderr
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -2,10 +2,11 @@
 or with 1 and exactly one ``error:`` line on stderr, and no exception
 escapes ``main``.  The argv mix every verb with the catalog's selectors,
 malformed selectors, face labels and payloads of at most four terms with
-exponents in -2..3, mostly over the ring's own generator names."""
+exponents in -2..3, mostly over the ring's own generator names, now and then
+with ``-h`` or ``--help``, which prints the help to ``out`` and exits 0."""
 
 import io
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 from hypothesis import event, given, settings
@@ -114,7 +115,8 @@ def command_lines(draw):
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(("text", "structured", "text", "yaml")))]
     if draw(RARELY):
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--bogus", "extra"))))
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("--bogus", "extra", "-h", "--help"))))
     return argv, stdin
 
 
@@ -122,12 +124,17 @@ def command_lines(draw):
 @given(command=command_lines())
 def test_every_command_line_answers_or_fails_with_one_error_line(command):
     argv, stdin = command
-    err = io.StringIO()
-    with redirect_stderr(err), mock.patch("sys.stdin", io.StringIO(stdin)):
-        code = main(argv, io.StringIO())
+    out, err, stdout = io.StringIO(), io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(stdout), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        code = main(argv, out)
     lines = err.getvalue().splitlines()
     event(f"{argv[0]} exit {code}")
+    assert not stdout.getvalue(), argv  # every answer goes to out
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
     else:
         assert code == 0 and not lines, (argv, code, lines)
+        if "-h" in argv or "--help" in argv:
+            event("help")
+            assert out.getvalue().startswith("usage: minkring"), argv

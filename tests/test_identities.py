@@ -9,7 +9,7 @@ import minkring.identities as ids
 import minkring.simplefn as sf
 from minkring.cli import parse_poly
 from minkring.laurent import LaurentPoly
-from minkring.presentations import box_ring, coxeter_ring
+from minkring.presentations import _box_ring, coxeter_ring
 from minkring.scalars import Scalar
 from conftest import random_gridset, well_formed
 
@@ -213,6 +213,24 @@ def test_id_holds_matches_fraction_oracle_on_random_faces(rng):
             _check_both_orders(ids.cover(p, faces))
 
 
+def test_lattice_covers_expand_no_cells(monkeypatch):
+    """id_holds on every cover of the catalog triangle and square reads its
+    products' keys and the cached shape images, built cold here: it lists
+    no cell of an arrangement and no function's terms."""
+    calls = []
+    cells, terms = geo.Arrangement.cells, sf.SimpleFunction.terms
+    monkeypatch.setattr(geo.Arrangement, "cells",
+                        lambda self, *args: calls.append("cells") or cells(self, *args))
+    monkeypatch.setattr(sf.SimpleFunction, "terms",
+                        property(lambda fn: calls.append("terms") or terms.fget(fn)))
+    sf._shape_image.cache_clear()
+    geo.decompose_runs.cache_clear()
+    specs = [*_all_covers(TRI), *_all_covers(geo.box((0, 0), (1, 1)))]
+    assert len(specs) == 2 ** 7 + 2 ** 9  # every face set, the empty one and the whole included
+    assert [ids.id_holds(spec) for spec in specs] == [ids.covers_vertices(spec) for spec in specs]
+    assert calls == []
+
+
 def test_closed_basis_keeps_the_weight_type():
     square = geo.box((0, 0), (1, 1))
     ints = sf.from_closed(square.ambient, {square: 1, geo.box_point((0, 0)): -1})
@@ -226,7 +244,8 @@ def test_closed_basis_keeps_the_weight_type():
 def test_id_context_rejects_products_before_building_a_ring():
     prism = geo.product(TRI, geo.box((0,), (1,)))
     spec = ids.cover(prism, [f for f in geo.faces(prism) if geo.dim(f) == 0])
-    before = box_ring.cache_info().misses, coxeter_ring.cache_info().misses
+    # box_ring caches through _box_ring, on its arguments normalised
+    before = _box_ring.cache_info().misses, coxeter_ring.cache_info().misses
     with pytest.raises(ValueError, match="ProductPolytope family"):
         ids.id_context(spec)
-    assert (box_ring.cache_info().misses, coxeter_ring.cache_info().misses) == before
+    assert (_box_ring.cache_info().misses, coxeter_ring.cache_info().misses) == before

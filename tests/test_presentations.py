@@ -112,6 +112,18 @@ def test_box_ring_basics():
     assert len(b2.declared) == 2
 
 
+def test_catalog_rings_are_built_once_however_their_arguments_are_spelled():
+    from minkring.cli import ring_from_selector
+    from minkring.rewriting import edge_tiling_ring
+    assert ring_from_selector("interval:1,2") is interval_ring(1, 2)
+    assert interval_ring(1, 2) is interval_ring(Scalar.of(1), Fraction(2), "polynomial")
+    assert ring_from_selector("interval:1,sqrt2:laurent:xyz") is \
+        interval_ring(1, SQRT2, mode="laurent", naming="xyz")
+    assert box_ring(1) is box_ring(1, signed=False) is box_ring(1, False) is \
+        edge_tiling_ring("y")
+    assert ring_from_selector("box:2:signed") is box_ring(2, signed=True)
+
+
 def test_signed_box_inverse_identity():
     ring = box_ring(1, signed=True)
     ident = parse_poly("y^-1 - 1 - x^-1 + x^-1*y")

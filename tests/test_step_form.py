@@ -127,3 +127,36 @@ def test_equality_hash_and_combine_ignore_the_key_width(ambient_id, data):
     assert sf.combine([1, -1], [wide, f]) == sf.zero(ambient)
     assert sf.is_zero(wide - f) and sf.is_zero(f - wide)
     assert (wide + far).terms == (f + far).terms
+
+
+@pytest.mark.parametrize("ambient_id", ["grid", "box:2", "box:3", "line:sqrt2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_product_over_runs_matches_the_closed_basis_round_trip(ambient_id, data):
+    """multiply and multiply_by_indicator, which fold cached shape images
+    along f's runs, against the round trip they replace: f's cells in the
+    closed basis, times the other factor's, folded back into deltas."""
+    ambient, irrational = AMBIENTS[ambient_id], ambient_id in IRRATIONAL
+
+    def polytope():
+        """The Minkowski sum of two drawn cells' closures, or of the origin."""
+        cells = list(data.draw(raw_maps(ambient, irrational))) or [ambient.origin()]
+        pair = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2))
+        return geo.minkowski_sum(*(c if isinstance(c, geo.Polytope) else c.closure()
+                                   for c in pair))
+
+    # f gets runs of several cells, one kind and one value, from a polytope's
+    # indicator; g may be any function
+    f = sf.SimpleFunction(ambient, data.draw(raw_maps(ambient, irrational))) + \
+        data.draw(WEIGHTS) * sf.indicator(polytope(), data.draw(
+            st.sampled_from(("closed", "interior"))))
+    g = sf.SimpleFunction(ambient, data.draw(raw_maps(ambient, irrational)))
+
+    def round_trip(basis):
+        return sf.from_closed(ambient, sf.closed_product(sf._closed_basis(f), basis))
+
+    product = sf.multiply(f, g)
+    assert product == round_trip(sf._closed_basis(g))
+    assert all(type(q) is Fraction for q in product.deltas.values())
+    p = polytope()
+    assert sf.multiply_by_indicator(f, p) == round_trip({p: 1})
