@@ -115,7 +115,7 @@ class Line:
 
     def rebuild(self, los, his) -> "Interval":
         (lo,), (hi,) = los, his
-        if (hi - lo).sign() < 0:
+        if hi < lo:
             raise EmptyRegionError(f"interval needs lo <= hi, got [{lo}, {hi}]")
         return tuple.__new__(Interval, (self, (lo,), (hi,)))
 
@@ -197,8 +197,7 @@ class Interval(Polytope):
     hi = property(lambda self: self[2][0])
 
     def order(self) -> tuple:  # of one dimension: by the (p, q) parts of the ends
-        lo, hi = self.lo, self.hi
-        return lo.p, lo.q, hi.p, hi.q
+        return (*self.lo.parts, *self.hi.parts)
 
     def __repr__(self) -> str:
         return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
@@ -218,8 +217,8 @@ class LineCell(Cell):
     __slots__ = ()
 
     def sort_key(self) -> tuple:  # points first, then the (p, q) parts of the ends
-        lo, hi = self[1], self[-1]
-        return (0, 0, lo.p, lo.q) if self.DIM == 0 else (1, 1, lo.p, lo.q, hi.p, hi.q)
+        lo = self[1].parts
+        return (0, 0, *lo) if self.DIM == 0 else (1, 1, *lo, *self[2].parts)
 
     def closure(self) -> Interval:
         return Interval(self[1], self[-1])
@@ -247,7 +246,7 @@ class OpenInterval1D(LineCell):
     lo, hi = property(itemgetter(1)), property(itemgetter(2))
 
     def __new__(cls, lo, hi):
-        if (hi - lo).sign() <= 0:
+        if hi <= lo:
             raise ValueError("open interval needs lo < hi")
         return _cell(cls, (cls, lo, hi))
 

@@ -17,20 +17,20 @@ generator is invertible, in a polynomial one none is: the mode alone
 decides whether a monomial may carry a negative power.
 
 A generator whose polytope is a point is a translation, so every monomial
-splits into a *shape*, its factors on the other generators, and an
-*offset*, the sum of exp * point over its point factors (a Scalar on the
-line, integer coordinates elsewhere).  The shape's image is built in the
-closed basis: each positive power k of P is the element {kP: 1}, each
-inverse power the signed faces of -kP above, and the factors are multiplied
-with the ring's one closed-basis product before the runs of each resulting
-polytope are folded once (:func:`minkring.simplefn.from_closed`).  Images
-are cached per shape, so the cache holds at most one entry per distinct
-shape, and a monomial's image is its shape's image moved by the offset, one
-addition per delta of its step form.  Every geometric weight is an integer
-(products of +-1 face signs), so the cached images carry ``int`` weights,
-as integral coefficients do (see :mod:`minkring.laurent`): the image of
-D * f, D the lcm of f's denominators, is summed in ``int``s and divided by
-D once per value :meth:`phi` reports.
+splits into a *shape*, its factors on the other generators, and an *offset*,
+the sum of exp * point over its point factors (a Scalar on int parts on the
+line, so moving a key builds no Fraction; integer coordinates elsewhere).
+The shape's image is built in the closed basis: each positive power k of P
+is the element {kP: 1}, each inverse power the signed faces of -kP above,
+and the factors are multiplied with the ring's one closed-basis product
+before the runs of each resulting polytope are folded once
+(:func:`minkring.simplefn.from_closed`).  Images are cached per shape, so
+the cache holds at most one entry per distinct shape, and a monomial's image
+is its shape's image moved by the offset, one addition per delta of its step
+form.  Every geometric weight is an integer (products of +-1 face signs), so
+the cached images carry ``int`` weights, as integral coefficients do (see
+:mod:`minkring.laurent`): the image of D * f, D the lcm of f's denominators,
+is summed in ``int``s and divided by D once per value :meth:`phi` reports.
 
 Kernel membership is decided semantically: map the polynomial through the
 surjection and test the image for zero, which reads its deltas and folds
@@ -266,9 +266,9 @@ def _ratio(alpha: Scalar, beta: Scalar) -> Optional[Fraction]:
     """alpha/beta, beta nonzero, as a Fraction when the ratio is rational,
     else None: a + b sqrt2 = r (c + d sqrt2) for a rational r exactly when
     ad = bc."""
-    if alpha.p * beta.q != alpha.q * beta.p:
-        return None
-    return alpha.p / beta.p if beta.p else alpha.q / beta.q
+    (a, b), (c, d) = alpha.parts, beta.parts
+    if a * d == b * c:
+        return Fraction(a, c) if c else Fraction(b, d)
 
 
 def interval_ring(alpha: ScalarLike, beta: ScalarLike, mode: str = "polynomial",
@@ -288,7 +288,7 @@ def interval_ring(alpha: ScalarLike, beta: ScalarLike, mode: str = "polynomial",
 def _interval_ring(alpha: Scalar, beta: Scalar, mode: str, xyz: bool) -> Presentation:
     if alpha == beta:
         raise ValueError(f"degenerate interval [{alpha}, {beta}]")
-    if (beta - alpha).sign() < 0:
+    if beta < alpha:
         raise ValueError(f"interval needs alpha < beta, got ({alpha}, {beta})")
     seg = geo.interval(alpha, beta)
     x, y, z = (LaurentPoly.var(n) for n in "xyz")

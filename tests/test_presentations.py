@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,28 @@ def test_rational_lattice_relations(alpha, beta, step):
                     expected = dk * step[1] == dl * step[0] and \
                         (dk % step[0] == 0 if step[0] else dk == 0)
                     assert ring.kernel_member(diff) == expected
+
+
+def test_line_member_path_builds_no_fraction():
+    # Line keys and offsets are Scalars on int parts, and the member test
+    # sums int deltas: once the shape images are cached, no Fraction is made.
+    ring = interval_ring(1, SQRT2, mode="laurent")
+    z, x, y = (LaurentPoly.var(n) for n in "zxy")
+    f = (z - x) ** 20 * (z - y)
+    assert ring.kernel_member(f)
+    made = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            made.append((frame.f_back.f_code.co_name, frame.f_back.f_lineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        member = ring.kernel_member(f)
+    finally:
+        sys.setprofile(previous)
+    assert member and made == []
 
 
 # -- box rings ----------------------------------------------------------------
