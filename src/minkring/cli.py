@@ -51,83 +51,70 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # polynomial parser
 
-_TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+# A factor chain (numbers and names with integer powers, joined by '*' or by
+# nothing) is one token: its factors end where their tokens would, and it never
+# ends before a '^'.  A '^' with an integer is one pow token, so no chain
+# starts at its digits.  The rest is read token by token.
+_POW = r"\^\s*([+-]?)\s*(\d+)(?![\d/])"
+_FACTOR = rf"(?:\d+(?:/\d+)?(?![\d/])|[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])(?:\s*{_POW})?)"
+_TOKEN = re.compile(rf"(?P<chain>{_FACTOR}(?:\s*\*?\s*{_FACTOR})*(?!\s*\^))|(?P<pow>{_POW})"
+                    r"|(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*^()])|(?P<bad>\S)")
-
-
-def _tokenize(text: str):
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
-    for kind, val, pos in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {val!r}", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
+_CHAIN_FACTOR = re.compile(rf"(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*{_POW})?")
 _MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive descent over the token list.  Each term is folded once:
-    its numbers into one coefficient (an ``int`` unless a number has a
-    '/'), its names into one exponent dict, and only its parenthesised
-    factors are multiplied as polynomials.  An expression folds the signed
-    (monomial, coefficient) pairs of all its terms into one dict."""
+    """Recursive descent over the token list, a factor chain one token.  Each
+    term is folded once: its numbers into one coefficient (an ``int`` unless
+    a number has a '/'), its names into one exponent dict, and only its
+    parenthesised factors are multiplied as polynomials.  An expression folds
+    the signed (monomial, coefficient) pairs of all its terms into one dict."""
 
     def __init__(self, text: str, names=None):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
+        self.text, self.tokens = text, []  # (kind, value, position)
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            self.tokens.append((kind, "^" if kind == "pow" else m.group(), m.start()))
+        self.tokens.append(("end", "", len(text)))
+        self.i = self.depth = 0
         self.names = set(names) if names is not None else None
-
-    def peek(self):
-        return self.tokens[self.i]
 
     def next(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-
     def parse(self) -> LaurentPoly:
         poly = self.expr()
-        kind, val, pos = self.peek()
+        kind, val, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos)
         return poly
 
     def expr(self) -> LaurentPoly:
-        pairs, sign = [], 1
-        kind, val, _ = self.peek()
+        pairs, sign, tokens = [], 1, self.tokens
+        kind, val, _ = tokens[self.i]
         if kind == "op" and val in "+-":
-            self.next()
+            self.i += 1
             sign = -1 if val == "-" else 1
         while True:
             self.term(sign, pairs)
-            kind, val, _ = self.peek()
+            kind, val, _ = tokens[self.i]
             if not (kind == "op" and val in "+-"):
                 return fold_terms(pairs)
-            self.next()
+            self.i += 1
             sign = -1 if val == "-" else 1
 
     def term(self, coeff: int, pairs: list) -> None:
         """Append the (monomial, coefficient) pairs of one term, times coeff."""
-        exps, poly = {}, None
+        exps, poly, tokens = {}, None, self.tokens
         while True:
             kind, val, pos = self.next()
-            if kind == "num":
-                if "/" in val:
-                    try:
-                        coeff *= Fraction(val)
-                    except ZeroDivisionError:
-                        raise ParseError("zero denominator", pos) from None
-                else:
-                    coeff *= int(val)
+            if kind == "chain" or kind == "num":
+                coeff = self.chain(val, pos, coeff, exps)
             elif kind == "name":
                 if self.names is not None and val not in self.names:
                     raise ParseError(f"unknown name {val!r}", pos)
@@ -137,10 +124,10 @@ class _Parser:
                 poly = inner if poly is None else poly * inner
             else:
                 raise ParseError(f"unexpected token {val!r}", pos)
-            kind, val, _ = self.peek()
+            kind, val, _ = tokens[self.i]
             if kind == "op" and val == "*":
-                self.next()
-            elif not (kind in ("name", "num") or (kind == "op" and val == "(")):
+                self.i += 1
+            elif not (kind in ("chain", "num", "name") or (kind == "op" and val == "(")):
                 break
         mono = monomial(exps)
         if poly is None:
@@ -148,20 +135,36 @@ class _Parser:
         else:
             pairs.extend((mono_mul(m, mono), c * coeff) for m, c in poly.terms.items())
 
+    def chain(self, text: str, pos: int, coeff, exps: dict):
+        """coeff times the numbers of a chain (or number) at pos, its powers
+        added to exps; each factor is checked in turn."""
+        for m in _CHAIN_FACTOR.finditer(text):
+            num, name, sign, digits = m.groups()
+            if name:
+                if self.names is not None and name not in self.names:
+                    raise ParseError(f"unknown name {name!r}", pos + m.start())
+                exps[name] = exps.get(name, 0) + (int(sign + digits) if digits else 1)
+            elif "/" not in num:
+                coeff *= int(num)
+            else:
+                try:
+                    coeff *= Fraction(num)
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator", pos + m.start()) from None
+        return coeff
+
     def power(self) -> int:
-        """The exponent after an optional '^', else 1."""
-        kind, val, _ = self.peek()
-        if not (kind == "op" and val == "^"):
-            return 1
-        self.next()
-        sign = 1
-        kind, val, pos = self.next()
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            kind, val, pos = self.next()
-        if kind != "num" or "/" in val:
-            raise ParseError("expected an integer exponent", pos)
-        return sign * int(val)
+        """The exponent after an optional '^', else 1.  A '^' that is not a
+        pow token has no integer after it, so the exponent fails at the token
+        after it and its optional sign."""
+        kind, val, pos = self.tokens[self.i]
+        if kind == "pow":
+            self.i += 1
+            return int("".join(re.compile(_POW).match(self.text, pos).groups()))
+        if kind == "op" and val == "^":
+            self.i += 2 if self.tokens[self.i + 1][:2] in (("op", "+"), ("op", "-")) else 1
+            raise ParseError("expected an integer exponent", self.tokens[self.i][2])
+        return 1
 
     def group(self, pos: int) -> LaurentPoly:
         """A parenthesised subexpression, its '(' at pos already read, with
@@ -173,8 +176,10 @@ class _Parser:
         self.depth += 1
         inner = self.expr()
         self.depth -= 1
-        self.expect_op(")")
-        caret = self.peek()[2]
+        kind, val, at = self.next()
+        if kind != "op" or val != ")":
+            raise ParseError("expected ')'", at)
+        caret = self.tokens[self.i][2]
         exp = self.power()
         if exp < 0 and not inner.is_monomial():
             raise ParseError("negative power of a non-monomial", caret)
@@ -397,14 +402,9 @@ def cmd_normalize(args):
 
 def cmd_tile(args):
     n = args.n
-    if args.axis == "z":
-        ring = coxeter_ring()
-        tiling = rw.triangle_tiling(n)
-        ok = rw.verify_triangle_tiling(n)
-    else:
-        ring = rw.edge_tiling_ring(args.axis)
-        tiling = rw.edge_tiling(args.axis, n)
-        ok = rw.verify_edge_tiling(args.axis, n)
+    ring, tiling = ((coxeter_ring(), rw.triangle_tiling(n)) if args.axis == "z" else
+                    (rw.edge_tiling_ring(args.axis), rw.edge_tiling(args.axis, n)))
+    ok = ring.kernel_member(LaurentPoly.var(args.axis, n) - tiling)  # the printed tiling
     tiling = tiling.to_text()
     return ([("verb", "tile"), ("ring", ring.ring_id), ("axis", args.axis),
              ("n", n), ("tiling", tiling), ("verified", ok)],

@@ -130,8 +130,7 @@ class Line:
 
     coords = staticmethod(itemgetter(0))  # the point where the form takes these values
 
-    def offset(self, moves):  # the sum of exp * point over (exp, point) pairs
-        return sum(itertools.starmap(mul, moves))
+    move = staticmethod(lambda point, width: point)  # a key moves by adding the point to t
 
     def text(self, p: "Interval") -> str:  # p as presentations and the CLI print it
         (lo,), (hi,) = p[1], p[2]
@@ -160,12 +159,13 @@ class Line:
         """(shape, offset, 1) per cell: the cell moved to start at 0, and its left end."""
         return [(c.shift(-c[1]), c[1], 1) for c in self.cells(start, stop, width)]
 
-    def fold(self, acc: dict, n, deltas: dict, offset, width: int, count: int = 1) -> None:
-        """acc += n * deltas, each key moved by the scalar offset (or None)."""
-        items = deltas.items() if offset is None else (
-            ((t + offset, e), v) for (t, e), v in deltas.items())
-        for k, v in items:
-            acc[k] = acc.get(k, 0) + n * v
+    def fold(self, acc: dict, deltas: dict, moves) -> None:
+        """acc += n * deltas, each key moved by the scalar move, per (n, move)."""
+        for n, move in moves:
+            items = (((t + move, e), v) for (t, e), v in deltas.items()) if move \
+                else deltas.items()
+            for k, v in items:
+                acc[k] = acc.get(k, 0) + n * v
 
     def least(self, deltas: dict, width: int) -> tuple:
         """(cell, value) of the least cell in the cell kinds' sort_key order
@@ -412,10 +412,6 @@ class Arrangement:
     def coords(self, values) -> tuple:  # the coordinates are the first d forms
         return values[:self.d]
 
-    def offset(self, moves) -> tuple:  # the sum of exp * point over (exp, point) pairs
-        exps, points = zip(*moves)
-        return tuple(sum(map(mul, exps, c)) for c in zip(*points))
-
     def text(self, p: "LatticeSet") -> str:  # p as presentations and the CLI print it
         if self.parts:
             return "prod[" + "; ".join(q[0].text(q) for q in p.parts) + "]"
@@ -467,15 +463,20 @@ class Arrangement:
         moves = itertools.chain.from_iterable(offsets)
         return key_width(reach + max(map(abs, moves), default=0))
 
-    def fold(self, acc: dict, n, deltas: dict, offset, width: int, count: int = 1) -> None:
-        """acc += n * deltas moved by offset (or None) and count - 1 more last-axis steps."""
+    def move(self, point, width: int) -> int:
+        """The addend of keys at width that moves them by an integer point."""
         move = 0
-        for a in offset or ():
+        for a in point:
             move = (move << width) + a
-        for move in range(move, move + count) if count > 1 else (move,):
-            for k, v in deltas.items():
+        return move
+
+    def fold(self, acc: dict, deltas: dict, moves) -> None:
+        """acc += n * deltas, each key moved by the int move, per (n, move)."""
+        items, get = deltas.items(), acc.get
+        for n, move in moves:
+            for k, v in items:
                 k += move
-                acc[k] = acc.get(k, 0) + n * v
+                acc[k] = get(k, 0) + n * v
 
     def least(self, deltas: dict, width: int) -> tuple:
         """(cell, value) of the least key with a nonzero difference: the step

@@ -40,7 +40,7 @@ class ArityError(ValueError):
 
 
 def monomial(exponents: Mapping[str, int]) -> Monomial:
-    return tuple(sorted((n, int(e)) for n, e in exponents.items() if e != 0))
+    return tuple(sorted([(n, int(e)) for n, e in exponents.items() if e != 0]))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -222,23 +222,16 @@ class LaurentPoly:
         ``ZeroDivisionError``.
         """
         values = {n: Fraction(v) for n, v in assignment.items()}
-        out: dict = {}
+        pairs = []
         for m, c in self._terms.items():
-            kept = {}
             for name, e in m:
                 if name in values:
-                    v = values[name]
-                    if v == 0 and e < 0:
+                    if values[name] == 0 and e < 0:
                         raise ZeroDivisionError(
-                            f"zero assigned to {name} with negative exponent"
-                        )
-                    c = c * v**e
-                else:
-                    kept[name] = e
-            if c:
-                mm = monomial(kept)
-                out[mm] = out.get(mm, 0) + c
-        return LaurentPoly(out)
+                            f"zero assigned to {name} with negative exponent")
+                    c = c * values[name]**e
+            pairs.append((tuple(f for f in m if f[0] not in values), c))
+        return fold_terms(pairs)
 
     # -- canonical text ------------------------------------------------------
 

@@ -16,21 +16,20 @@ terms and the unit triangle's seven.  In a Laurent presentation every
 generator is invertible, in a polynomial one none is: the mode alone
 decides whether a monomial may carry a negative power.
 
-A generator whose polytope is a point is a translation, so every monomial
-splits into a *shape*, its factors on the other generators, and an *offset*,
-the sum of exp * point over its point factors (a Scalar on int parts on the
-line, so moving a key builds no Fraction; integer coordinates elsewhere).
-The shape's image is built in the closed basis: each positive power k of P
-is the element {kP: 1}, each inverse power the signed faces of -kP above,
-and the factors are multiplied with the ring's one closed-basis product
-before the runs of each resulting polytope are folded once
-(:func:`minkring.simplefn.from_closed`).  Images are cached per shape, so
-the cache holds at most one entry per distinct shape, and a monomial's image
-is its shape's image moved by the offset, one addition per delta of its step
-form.  Every geometric weight is an integer (products of +-1 face signs), so
-the cached images carry ``int`` weights, as integral coefficients do (see
-:mod:`minkring.laurent`): the image of D * f, D the lcm of f's denominators,
-is summed in ``int``s and divided by D once per value :meth:`phi` reports.
+A point generator is a translation, so a monomial splits into a *shape*,
+its factors on the other generators, and its point factors.  A shape's
+image is built once and cached: each positive power k of P is the
+closed-basis element {kP: 1}, each inverse power the signed faces of -kP
+above, and the factors are multiplied with the ring's one closed-basis
+product before the runs of each polytope are folded
+(:func:`minkring.simplefn.from_closed`).  Points are packed once per key
+width (on the line a point is its own Scalar move), a monomial moves by the
+sum of exp * packed point, and each shape's image is folded once per query
+over the (coefficient, move) pairs of its monomials.  Every geometric
+weight is an integer (products of +-1 face signs), so images carry ``int``
+weights, as integral coefficients do (see :mod:`minkring.laurent`): the
+image of D * f, D the lcm of f's denominators, is summed in ``int``s and
+divided by D once per value :meth:`phi` reports.
 
 Kernel membership is decided semantically: map the polynomial through the
 surjection and test the image for zero, which reads its deltas and folds
@@ -52,7 +51,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import geometry as geo
@@ -95,10 +93,11 @@ class Presentation:
         self.generators = {g.name: g for g in generators}
         self.ambient = ambients.pop()
         self.declared = tuple(declared)
-        # name -> coordinates of each point generator, a translation
-        self._points = {g.name: geo.vertex_coords(g.polytope)
-                        for g in generators if geo.dim(g.polytope) == 0}
-        self._mono_cache: dict = {}  # shape -> image
+        # name -> largest absolute coordinate of each point generator, a translation
+        self._sizes = {g.name: self.ambient.reach((g.polytope,))
+                       for g in generators if geo.dim(g.polytope) == 0}
+        # key width -> {point generator: its packed move}; shape -> image
+        self._moves, self._mono_cache = {}, {}
         for g in self.declared:
             if not self.kernel_member(g):
                 raise ValueError(f"declared kernel generator {g} is not in the kernel")
@@ -117,25 +116,24 @@ class Presentation:
         return self.phi(LaurentPoly.term({name: exp}))
 
     def _split(self, m):
-        """(shape, offset) of a monomial: its factors on generators that are
-        not points, and the sum of exp * point over the others, in the
-        coordinates of geo.translate (None when there are none).  Checks
-        every factor, in order, for an unknown name or a negative power in
-        a polynomial presentation."""
-        shape, moves = [], []
-        for name, exp in m:
+        """(shape, points, bound) of a monomial: its factors on generators that
+        are not points, those on points, and sum |exp| * |point|, a bound on its
+        move.  Checks each factor in order: a known name, no polynomial-mode inverse."""
+        shape, points, bound, sizes = [], [], 0, self._sizes
+        for factor in m:
+            name, exp = factor
             if name not in self.generators:
                 raise KeyError(f"unknown generator {name!r} in ring {self.ring_id}")
             if exp < 0 and self.mode != "laurent":
                 raise NonInvertibleError(
-                    f"negative exponent on non-invertible generator {name!r}"
-                )
-            point = self._points.get(name)
-            if point is None:
-                shape.append((name, exp))
+                    f"negative exponent on non-invertible generator {name!r}")
+            size = sizes.get(name)
+            if size is None:
+                shape.append(factor)
             else:
-                moves.append((exp, point))
-        return tuple(shape), (self.ambient.offset(moves) if moves else None)
+                points.append(factor)
+                bound += abs(exp) * size
+        return tuple(shape), points, bound
 
     def _phi_monomial(self, m) -> sf.SimpleFunction:
         """Image of one monomial, with int weights: its shape's, moved."""
@@ -165,18 +163,28 @@ class Presentation:
 
     def _image_ints(self, f: LaurentPoly) -> tuple:
         """(deltas, D, width): the nonzero int deltas of the image of D * f, D the
-        lcm of f's denominators: the shape images of f's terms, moved by their
-        offsets and folded at a key width for every term's reach."""
+        lcm of f's denominators: each shape's image folded once, moved by every
+        term's sum of exp * packed point, at a width for every reach and bound."""
         den = math.lcm(*(c.denominator for c in f.terms.values()))
-        parts = [(c.numerator * (den // c.denominator), *self._split(m))
-                 for m, c in f.terms.items()]
-        images = [self._shape_image(shape) for _, shape, _ in parts]
-        ambient = self.ambient
-        width = ambient.width(max(map(itemgetter(0), images), default=0),
-                              [offset for _, _, offset in parts if offset])
+        terms, bound = {}, 0  # shape -> [(int coefficient, point factors)]; max bound
+        for m, c in f.terms.items():
+            shape, points, b = self._split(m)
+            terms.setdefault(shape, []).append(((c * den).numerator, points))
+            bound = max(bound, b)
+        ambient, images = self.ambient, {shape: self._shape_image(shape) for shape in terms}
+        width = ambient.width(max((r for r, _ in images.values()), default=0) + bound)
+        packed = self._moves.get(width) or self._moves.setdefault(width, {
+            name: ambient.move(geo.vertex_coords(self.generators[name].polytope), width)
+            for name in self._sizes})
         acc: dict = {}
-        for (_, image), (n, _, offset) in zip(images, parts):
-            ambient.fold(acc, n, sf._deltas_at(image, width), offset, width)
+        for shape, pairs in terms.items():
+            moves = []
+            for n, points in pairs:
+                move = 0
+                for name, exp in points:
+                    move += exp * packed[name]
+                moves.append((n, move))
+            ambient.fold(acc, sf._deltas_at(images[shape][1], width), moves)
         return {k: v for k, v in acc.items() if v}, den, width
 
     def phi(self, f: LaurentPoly) -> sf.SimpleFunction:

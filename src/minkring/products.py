@@ -83,14 +83,9 @@ def psi_split(f: LaurentPoly, left_names: Iterable[str],
                  for drop in (set(right_names), set(left_names)))
 
 
-def _monomials_up_to(names: Sequence[str], bound: int):
-    if not names:
-        yield LaurentPoly.const(1)
-        return
-    ranges = [range(bound + 1)] * len(names)
-    for exps in iproduct(*ranges):
-        if sum(exps) <= bound:
-            yield LaurentPoly.term(dict(zip(names, exps)))
+def _monomials_up_to(names: Sequence[str], bound: int) -> list:
+    return [LaurentPoly.term(dict(zip(names, exps)))
+            for exps in iproduct(range(bound + 1), repeat=len(names)) if sum(exps) <= bound]
 
 
 def random_ideal_element(pp: ProductPresentation, rng: random.Random,
@@ -120,8 +115,9 @@ def verify_tensor_identity(pp: ProductPresentation, bound: int = 2,
         raise ValueError("degree bound must lie in 0..3")
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
+    rights = _monomials_up_to(pp.right_names, bound)
     for ml in _monomials_up_to(pp.left_names, bound):
-        for mr in _monomials_up_to(pp.right_names, bound):
+        for mr in rights:
             fl, fr = psi_split(ml * mr, pp.left_names, pp.right_names)
             if fl != ml or fr != mr:
                 return False

@@ -35,7 +35,7 @@ from functools import lru_cache
 from . import geometry as geo
 from .geometry import (GridEdgeS, GridEdgeU, GridEdgeV, GridSet, GridTriDown,
                        GridTriUp, GridVertex)
-from .laurent import LaurentPoly, mono_text, poly_sum
+from .laurent import LaurentPoly, fold_terms, mono_mul, mono_text, monomial, poly_sum
 from .presentations import box_ring, coxeter_ring
 
 _X1 = LaurentPoly.var("x1")
@@ -157,9 +157,10 @@ def second_normal_form_pieces(s: GridSet) -> tuple:
 
 
 def second_normal_form(s: GridSet) -> LaurentPoly:
-    """The open-piece tiling expanded into the six-generator alphabet."""
-    return poly_sum(LaurentPoly.term({"x1": a, "x2": b}) * _PIECE_POLY[kind]
-                    for a, b, kind in second_normal_form_pieces(s))
+    """The open-piece tiling expanded into the six-generator alphabet, in one fold."""
+    anchored = [(monomial({"x1": a, "x2": b}), _PIECE_POLY[kind].terms.items())
+                for a, b, kind in second_normal_form_pieces(s)]
+    return fold_terms((mono_mul(at, m), c) for at, piece in anchored for m, c in piece)
 
 
 def piece_text(piece) -> str:

@@ -161,7 +161,7 @@ def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
         if f.ambient != ambient:
             raise AmbientMismatchError(f"{f.ambient} vs {ambient}")
         if q:
-            ambient.fold(acc, Fraction(q), _deltas_at(f, width), None, width)
+            ambient.fold(acc, _deltas_at(f, width), [(Fraction(q), 0)])
     return SimpleFunction._trusted(ambient, width, {k: v for k, v in acc.items() if v})
 
 
@@ -225,7 +225,8 @@ def times_closed(f: SimpleFunction, basis: Mapping) -> SimpleFunction:
                               default=0), [offset for _, _, offset, _ in pieces])
     acc = {}
     for v, (_, image), offset, count in pieces:
-        ambient.fold(acc, v, _deltas_at(image, width), offset, width, count)
+        move = ambient.move(offset, width)
+        ambient.fold(acc, _deltas_at(image, width), [(v, move + i) for i in range(count)])
     return SimpleFunction._trusted(ambient, width, {k: v for k, v in acc.items() if v})
 
 

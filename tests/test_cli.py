@@ -259,6 +259,34 @@ def test_parser_matches_token_by_token_oracle(text, names):
         _outcome(lambda: OracleParser(text, names).parse())
 
 
+# A factor chain is read as one token; each case is a chain with spaces or a
+# malformed power, which must parse, or fail, as its tokens one by one do.
+CHAIN_CASES = [
+    ("2 x y", "2*x*y"),
+    ("x ^ - 2", "x^-2"),
+    ("2x*y^3 - 1/2 y", "2*x*y^3 - 1/2*y"),
+    ("x ^+2 y\t^ 3 3", "3*x^2*y^3"),
+    ("(x)^2 y", "x^2*y"),
+    ("x^1/2", (ParseError, "expected an integer exponent (at position 2)")),
+    ("x^2^3", (ParseError, "trailing input '^' (at position 3)")),
+    ("x ^ y", (ParseError, "expected an integer exponent (at position 4)")),
+    ("x^(2)", (ParseError, "expected an integer exponent (at position 2)")),
+    ("x^-2/3 + y", (ParseError, "expected an integer exponent (at position 3)")),
+    ("2^3", (ParseError, "trailing input '^' (at position 1)")),
+    ("x*^2", (ParseError, "unexpected token '^' (at position 2)")),
+    ("x^2/", (ParseError, "unexpected character '/' (at position 3)")),
+    ("x y 3/0 q", (ParseError, "zero denominator (at position 4)")),
+    ("y x^2 q^3", (ParseError, "unknown name 'q' (at position 6)")),
+]
+
+
+@pytest.mark.parametrize("text,expected", CHAIN_CASES)
+def test_factor_chains_parse_as_their_tokens(text, expected):
+    outcome = _outcome(lambda: parse_poly(text, {"x", "y"}))
+    assert outcome == _outcome(lambda: OracleParser(text, {"x", "y"}).parse())
+    assert (outcome[0] if isinstance(expected, str) else outcome) == expected
+
+
 # -- golden reports --------------------------------------------------------------
 
 

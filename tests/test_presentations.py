@@ -477,6 +477,11 @@ RUN_RINGS = {
 }
 
 
+def _scaled(point, exp):
+    """exp * point, for a coordinate tuple or a scalar of the line."""
+    return tuple(exp * a for a in point) if isinstance(point, tuple) else exp * point
+
+
 def _cell_fold(ring, f) -> tuple:
     """(nonzero int weight per cell, D): the image of D * f as the image
     path folded it before packed keys.  Each term's shape image is its
@@ -486,11 +491,12 @@ def _cell_fold(ring, f) -> tuple:
     den = math.lcm(*(c.denominator for c in f.terms.values()))
     acc: dict = {}
     for m, c in f.terms.items():
-        shape, offset = ring._split(m)
+        shape, points, _ = ring._split(m)
         image = _unsplit_image(ring, shape)
         for cell, q in image.terms.items():
-            if offset is not None:
-                cell = cell.shift(offset)
+            for name, exp in points:  # each point factor moves the cell in turn
+                cell = cell.shift(_scaled(geo.vertex_coords(ring.generators[name].polytope),
+                                          exp))
             acc[cell] = acc.get(cell, 0) + c.numerator * (den // c.denominator) * q
     return cellfold.canonical(ring.ambient, acc), den
 
@@ -529,3 +535,59 @@ def test_run_path_matches_the_cell_fold(ring_id, data):
     image = ring.phi(f)
     assert image.terms == {cell: Fraction(v, den) for cell, v in terms.items()}
     assert all(type(q) is Fraction for q in image.terms.values())
+
+
+# -- many terms on few shapes: one fold per shape, moves packed once per width --
+
+
+IMAGE_RINGS = {
+    "coxeter": coxeter_ring,
+    **{f"box:{d}": (lambda d=d: box_ring(d)) for d in range(1, 5)},
+    **{f"box:{d}:signed": (lambda d=d: box_ring(d, signed=True)) for d in range(1, 5)},
+    "product:d1,d2": lambda: product_presentation(box_ring(1, signed=True),
+                                                  coxeter_ring()).combined,
+    "interval:-1,2:laurent": lambda: interval_ring(-1, 2, mode="laurent"),
+    "interval:0,3/2": lambda: interval_ring(0, Fraction(3, 2)),
+    "interval:1,sqrt2:laurent": lambda: interval_ring(1, SQRT2, mode="laurent"),
+    "interval:-1,sqrt2": lambda: interval_ring(-1, SQRT2),
+}
+# point exponents whose moves need key fields wider than 32 and 64 bits
+FAR = ((1 << 31) - 1, 1 << 31, 1 << 32, (1 << 63) + 5, 3 ** 45)
+
+
+@pytest.mark.parametrize("ring_id", sorted(IMAGE_RINGS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_many_term_images_match_per_monomial_images_and_the_cell_fold(ring_id, data):
+    ring = IMAGE_RINGS[ring_id]()
+    points = _point_names(ring)
+    shape_names = [n for n in ring.names() if n not in points]
+    low = -2 if ring.mode == "laurent" else 0
+    point_exp = st.integers(low, 3) | st.builds(
+        lambda e, s: e * s, st.sampled_from(FAR), st.sampled_from((1, -1) if low else (1,)))
+    shapes = data.draw(st.lists(st.dictionaries(st.sampled_from(shape_names),
+                                                st.integers(low, 2), max_size=2),
+                                min_size=1, max_size=3))
+    coeffs = st.integers(-3, 3).filter(bool) | st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.integers(2, 6))
+    # many terms on these few shapes, each moved by its own point factors
+    f = LaurentPoly({})
+    for _ in range(data.draw(st.integers(1, 12))):
+        moves = data.draw(st.dictionaries(st.sampled_from(points), point_exp, max_size=2))
+        f = f + LaurentPoly.term({**data.draw(st.sampled_from(shapes)), **moves},
+                                 data.draw(coeffs))
+    if data.draw(st.booleans()):  # a member: an ideal element
+        f = f * data.draw(st.sampled_from(ring.declared))
+    fresh = Presentation(ring.ring_id, ring.mode, list(ring.generators.values()))
+    image = fresh.phi(f)
+    assert image == ring.phi(f)
+    assert image == (sf.combine(list(f.terms.values()), [fresh._phi_monomial(m) for m in f.terms])
+                     if f.terms else sf.zero(ring.ambient))
+    terms, den = _cell_fold(ring, f)
+    assert image.terms == {cell: Fraction(v, den) for cell, v in terms.items()}
+    assert fresh.kernel_member(f) == (not terms)
+    if terms:
+        first = min(terms, key=lambda c: c.sort_key())
+        assert fresh.kernel_witness(f) == (first.representative(), Fraction(terms[first], den))
+    else:
+        assert fresh.kernel_witness(f) is None
