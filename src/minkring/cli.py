@@ -385,7 +385,7 @@ def cmd_normalize(args):
     ring = coxeter_ring()
     params, first = rw.first_normal_form(s)
     pieces = rw.second_normal_form_pieces(s)
-    second = rw.second_normal_form(s)
+    second = rw.second_normal_form(s, pieces)
     target = sf.indicator(s)
     verified = ring.phi(first) == target and ring.phi(second) == target
     first, second = first.to_text(), second.to_text()

@@ -38,6 +38,15 @@ the image is nonzero, and only its value becomes a ``Fraction``.  Declared
 kernel generators are verified this way at construction time, never
 trusted.
 
+A presentation may declare itself a tensor product of factor
+presentations, each with its share of the names, as the paper's closing
+theorem M(P x Q) = M(P) (x) M(Q) allows: products
+(:func:`minkring.products.product_presentation`) do, and ``box:d`` is the
+d-th tensor power of ``box:1``.  Membership is then decided by the Euler
+characteristic f(1, ..., 1) and factor by factor on the factors' images
+(:meth:`Presentation._tensor_member`); a non-member's witness is still the
+combined arrangement's least cell, and :meth:`phi` is unchanged.
+
 The catalog covers the interval rings (four isomorphism classes, split by
 whether an endpoint is zero and whether the endpoint ratio is rational),
 the d-dimensional box rings in plain and invertible form, and the
@@ -79,7 +88,7 @@ class Presentation:
 
     def __init__(self, ring_id: str, mode: str,
                  generators: Sequence[Generator],
-                 declared: Sequence[LaurentPoly] = ()):
+                 declared: Sequence[LaurentPoly] = (), tensor: Sequence = ()):
         if mode not in ("polynomial", "laurent"):
             raise ValueError(f"unknown mode {mode!r}")
         names = [g.name for g in generators]
@@ -93,6 +102,10 @@ class Presentation:
         self.generators = {g.name: g for g in generators}
         self.ambient = ambients.pop()
         self.declared = tuple(declared)
+        # per tensor factor: (its presentation, combined name -> its name)
+        self.tensor = tuple((factor, dict(names)) for factor, names in tensor)
+        if tensor and sorted(n for _, own in self.tensor for n in own) != sorted(names):
+            raise ValueError("tensor factor names must partition the generator names")
         # name -> largest absolute coordinate of each point generator, a translation
         self._sizes = {g.name: self.ambient.reach((g.polytope,))
                        for g in generators if geo.dim(g.polytope) == 0}
@@ -161,31 +174,44 @@ class Presentation:
             self._mono_cache[shape] = entry
         return entry
 
-    def _image_ints(self, f: LaurentPoly) -> tuple:
-        """(deltas, D, width): the nonzero int deltas of the image of D * f, D the
-        lcm of f's denominators: each shape's image folded once, moved by every
-        term's sum of exp * packed point, at a width for every reach and bound."""
-        den = math.lcm(*(c.denominator for c in f.terms.values()))
-        terms, bound = {}, 0  # shape -> [(int coefficient, point factors)]; max bound
-        for m, c in f.terms.items():
-            shape, points, b = self._split(m)
-            terms.setdefault(shape, []).append(((c * den).numerator, points))
-            bound = max(bound, b)
-        ambient, images = self.ambient, {shape: self._shape_image(shape) for shape in terms}
+    def _images(self, polys) -> tuple:
+        """([deltas per poly], width): the nonzero int deltas of the images of
+        polys of (monomial, int) pairs at one width for every reach and bound:
+        each shape's image folded once per poly, moved by every term's sum of
+        exp * packed point."""
+        splits, bound = [], 0  # per poly: shape -> [(int coefficient, point factors)]
+        for pairs in polys:
+            terms = {}
+            for m, n in pairs:
+                shape, points, b = self._split(m)
+                terms.setdefault(shape, []).append((n, points))
+                bound = max(bound, b)
+            splits.append(terms)
+        ambient, images = self.ambient, {s: self._shape_image(s) for t in splits for s in t}
         width = ambient.width(max((r for r, _ in images.values()), default=0) + bound)
         packed = self._moves.get(width) or self._moves.setdefault(width, {
             name: ambient.move(geo.vertex_coords(self.generators[name].polytope), width)
             for name in self._sizes})
-        acc: dict = {}
-        for shape, pairs in terms.items():
-            moves = []
-            for n, points in pairs:
-                move = 0
-                for name, exp in points:
-                    move += exp * packed[name]
-                moves.append((n, move))
-            ambient.fold(acc, sf._deltas_at(images[shape][1], width), moves)
-        return {k: v for k, v in acc.items() if v}, den, width
+        out = []
+        for terms in splits:
+            acc: dict = {}
+            for shape, pairs in terms.items():
+                moves = []
+                for n, points in pairs:
+                    move = 0
+                    for name, exp in points:
+                        move += exp * packed[name]
+                    moves.append((n, move))
+                ambient.fold(acc, sf._deltas_at(images[shape][1], width), moves)
+            out.append({k: v for k, v in acc.items() if v})
+        return out, width
+
+    def _image_ints(self, f: LaurentPoly) -> tuple:
+        """(deltas, D, width): the nonzero int deltas of the image of D * f, D the
+        lcm of f's denominators, at its width (:meth:`_images`)."""
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
+        (deltas,), width = self._images([[(m, (c * den).numerator) for m, c in f.terms.items()]])
+        return deltas, den, width
 
     def phi(self, f: LaurentPoly) -> sf.SimpleFunction:
         """Image of f under the surjection, as a canonical simple function:
@@ -196,12 +222,65 @@ class Presentation:
                                           {k: fraction[v] for k, v in deltas.items()})
 
     def kernel_member(self, f: LaurentPoly) -> bool:
-        """True when the image of f is zero: it has no nonzero delta."""
-        return not self._image_ints(f)[0]
+        """True when the image of f is zero: it has no nonzero delta, or on a
+        tensor product, factor by factor (:meth:`_tensor_member`)."""
+        if not self.tensor:
+            return not self._image_ints(f)[0]
+        for m in f.terms:  # the combined path's errors, before any factor work
+            self._split(m)
+        if sum(f.terms.values()):  # f(1, ..., 1), the Euler characteristic of phi(f)
+            return False
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
+        return self._tensor_member([(  # each monomial as its parts, one per factor
+            tuple(tuple(sorted((own[n], e) for n, e in m if n in own)) for _, own in self.tensor),
+            (c * den).numerator) for m, c in f.terms.items()])
+
+    def _tensor_member(self, terms, level: int = 0) -> bool:
+        """Whether f, (parts, int) terms with a monomial per factor from level
+        on, maps to zero.  Write f = sum_j A_j (x) B_j, A_j = sum c_L m_L over
+        the first factor's monomials m_L whose rest is c_L B_j, B_j primitive.
+        The first factor's images are sums of independent steps d_k [key >= k],
+        so phi(f) = sum_k [key >= k] (x) phi_rest(sum_j d_jk B_j), d_jk the
+        deltas of A_j: zero exactly when the rest maps sum_j b_j B_j to zero
+        for each row b of a fraction-free basis of the rows (d_jk)_j."""
+        factor = self.tensor[level][0]
+        if level == len(self.tensor) - 1:
+            return factor.kernel_member(LaurentPoly._trusted({p[0]: c for p, c in terms}))
+        groups: dict = {}  # m_L -> g_L
+        for parts, c in terms:
+            groups.setdefault(parts[0], {})[parts[1:]] = c
+        if len(groups) == 1:  # a monomial's image is never zero
+            return self._tensor_member(groups.popitem()[1].items(), level + 1)
+        classes: dict = {}  # B_j -> the terms (m_L, c_L) of A_j
+        for mine, g in groups.items():
+            c = math.gcd(*g.values()) * (1 if g[min(g)] > 0 else -1)
+            classes.setdefault(frozenset((m, v // c) for m, v in g.items()), []).append((mine, c))
+        images, basis = factor._images(classes.values())[0], []  # (pivot, row)
+        for k in set().union(*images):
+            row = [d.get(k, 0) for d in images]
+            for p, b in basis:
+                if row[p]:
+                    row = [b[p] * r - row[p] * x for r, x in zip(row, b)]
+            p = next((i for i, r in enumerate(row) if r), None)
+            if p is not None:
+                basis.append((p, [r // math.gcd(*row) for r in row]))
+                if len(basis) == len(classes):
+                    break
+        for _, b in basis:
+            h: dict = {}
+            for beta, bj in zip(b, classes):
+                for m, v in bj:
+                    h[m] = h.get(m, 0) + beta * v
+            if not self._tensor_member([(m, v) for m, v in h.items() if v], level + 1):
+                return False
+        return True
 
     def kernel_witness(self, f: LaurentPoly):
-        """None when f is in the kernel, else (point, value): the least cell in
-        the cell kinds' sort_key order where the image is nonzero, from the deltas."""
+        """None when f is in the kernel (on a tensor product, decided factor by
+        factor), else (point, value): the least cell in the cell kinds'
+        sort_key order where the image is nonzero, from the deltas."""
+        if self.tensor and self.kernel_member(f):
+            return None
         deltas, den, width = self._image_ints(f)
         if not deltas:
             return None
@@ -352,7 +431,10 @@ def _box_ring(d: int, signed: bool) -> Presentation:
         x, y = LaurentPoly.var(xn), LaurentPoly.var(yn)
         declared.append((y - 1) * (y - x))
     ring_id = f"box:{d}" + (":signed" if signed else "")
-    return Presentation(ring_id, mode, gens, declared)
+    # box:d is the d-th tensor power of box:1, axis i its factor i
+    tensor = [(box_ring(1, signed), {f"x{i + 1}": "x", f"y{i + 1}": "y"})
+              for i in range(d)] if d > 1 else ()
+    return Presentation(ring_id, mode, gens, declared, tensor)
 
 
 # ---------------------------------------------------------------------------

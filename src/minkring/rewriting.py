@@ -156,10 +156,12 @@ def second_normal_form_pieces(s: GridSet) -> tuple:
     return tuple(sorted(pieces, key=lambda t: (_PIECE_ORDER[t[2]], t[0], t[1])))
 
 
-def second_normal_form(s: GridSet) -> LaurentPoly:
-    """The open-piece tiling expanded into the six-generator alphabet, in one fold."""
+def second_normal_form(s: GridSet, pieces=None) -> LaurentPoly:
+    """The open-piece tiling expanded into the six-generator alphabet, in one
+    fold, from s's :func:`second_normal_form_pieces` when they are given."""
+    pieces = second_normal_form_pieces(s) if pieces is None else pieces
     anchored = [(monomial({"x1": a, "x2": b}), _PIECE_POLY[kind].terms.items())
-                for a, b, kind in second_normal_form_pieces(s)]
+                for a, b, kind in pieces]
     return fold_terms((mono_mul(at, m), c) for at, piece in anchored for m, c in piece)
 
 
@@ -191,12 +193,19 @@ def _open_pieces_sum() -> LaurentPoly:
     return open_edge(1) + open_edge(2) + open_edge(3) + open_triangle()
 
 
-def _tiling(points, n: int) -> LaurentPoly:
-    """points(n) + points(n-1) * (open edges + open triangle)
-    + points(n-2) * x1 x2 z^-1: the open-piece tiling of a triangle (points
-    = triangle_points_poly) or of a strip (points = homogeneous_sum)."""
-    down = _X1 * _X2 * LaurentPoly.var("z", -1)
-    return points(n) + points(n - 1) * _open_pieces_sum() + points(n - 2) * down
+def _tiling(n: int, row: bool = False) -> LaurentPoly:
+    """f(n) + f(n-1) * (open edges + open triangle) + f(n-2) * x1 x2 z^-1 in one
+    pass over the points x1^i x2^j of degree d = i + j <= n: f(k) is the side-k
+    triangle, d <= k (triangle_points_poly), or its row d = k (homogeneous_sum)."""
+    layers = (LaurentPoly.const(1), _open_pieces_sum(), _X1 * _X2 * LaurentPoly.var("z", -1))
+    pairs = []
+    for d in range(max(n - 2, 0) if row else 0, n + 1):
+        used = [layer.terms.items() for t, layer in enumerate(layers)
+                if d == n - t or (d < n - t and not row)]
+        for i in range(d + 1):
+            at = monomial({"x1": i, "x2": d - i})
+            pairs += [(mono_mul(at, m), c) for terms in used for m, c in terms]
+    return fold_terms(pairs)
 
 
 def triangle_tiling(n: int) -> LaurentPoly:
@@ -204,7 +213,7 @@ def triangle_tiling(n: int) -> LaurentPoly:
     + f_(n-2)*x1*x2*z^-1.  n = 0 returns 1."""
     if n < 0:
         raise ValueError("triangle_tiling needs n >= 0")
-    return _tiling(triangle_points_poly, n)
+    return _tiling(n)
 
 
 def edge_tiling(axis: str, n: int) -> LaurentPoly:
@@ -239,7 +248,7 @@ def strip_identity(n: int) -> LaurentPoly:
     if n < 1:
         raise ValueError("strip_identity needs n >= 1")
     lhs = LaurentPoly.var("z", n) - LaurentPoly.var("z", n - 1)
-    return lhs - _tiling(homogeneous_sum, n)
+    return lhs - _tiling(n, row=True)
 
 
 def strip_edge_identity(n: int) -> LaurentPoly:
@@ -249,7 +258,7 @@ def strip_edge_identity(n: int) -> LaurentPoly:
         raise ValueError("strip_edge_identity needs n >= 1")
     e = LaurentPoly.var("y3", n - 1) if n > 1 else LaurentPoly.const(1)
     lhs = e * _Z - e
-    return lhs - _tiling(homogeneous_sum, n)
+    return lhs - _tiling(n, row=True)
 
 
 def core_identity() -> LaurentPoly:

@@ -258,5 +258,7 @@ def is_zero(f: SimpleFunction) -> bool:
 
 def euler_char(f: SimpleFunction) -> Fraction:
     """The valuation taking value 1 on every nonempty closed convex
-    polytope's indicator: sum of coeff * (-1)^dim over cells."""
-    return sum((q * (-1) ** c.DIM for c, q in f.terms.items()), Fraction(0))
+    polytope's indicator: sum of coeff * (-1)^dim over cells, summed per
+    piece of each nonzero step, value * (-1)^dim * count, listing no cell."""
+    return sum((v * (-1) ** shape.DIM * count for start, stop, v in geo.steps(f.deltas)
+                for shape, _, count in f.ambient.pieces(start, stop, f.width)), Fraction(0))

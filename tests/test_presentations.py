@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cellfold
 import minkring.geometry as geo
 import minkring.simplefn as sf
-from minkring.cli import parse_poly
+from minkring.cli import parse_poly, ring_from_selector
 from minkring.laurent import LaurentPoly, monomial
 from minkring.products import product_presentation
 from minkring.presentations import (NonInvertibleError, Presentation,
@@ -591,3 +591,109 @@ def test_many_term_images_match_per_monomial_images_and_the_cell_fold(ring_id, d
         assert fresh.kernel_witness(f) == (first.representative(), Fraction(terms[first], den))
     else:
         assert fresh.kernel_witness(f) is None
+
+
+# -- product and box rings decided factor by factor, against the combined path --
+
+
+TENSOR_RINGS = {
+    **{f"box:{d}": (lambda d=d: box_ring(d)) for d in (2, 3, 4)},
+    **{f"box:{d}:signed": (lambda d=d: box_ring(d, signed=True)) for d in (2, 3, 4)},
+    **{f"product:{a},{b}": (lambda a=a, b=b: product_presentation(
+        TENSOR_PARTS[a](), TENSOR_PARTS[b]()).combined)
+       for a, b in (("d1", "d1"), ("d1", "d2"), ("d2", "d2"), ("d2", "point"),
+                    ("box:2:signed", "d1"))},
+}
+TENSOR_PARTS = {"d1": lambda: box_ring(1, signed=True), "d2": coxeter_ring,
+                "point": point_ring, "box:2:signed": lambda: box_ring(2, signed=True)}
+
+
+def _combined(ring) -> Presentation:
+    """The same ring without its tensor factors: the combined-arrangement path."""
+    return Presentation(ring.ring_id, ring.mode, list(ring.generators.values()))
+
+
+@pytest.mark.parametrize("ring_id", sorted(TENSOR_RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_factor_by_factor_membership_matches_the_combined_path(ring_id, data):
+    ring = TENSOR_RINGS[ring_id]()
+    first = sorted(ring.tensor[0][1])
+    rest = [n for n in ring.names() if n not in first]
+    low = -2 if ring.mode == "laurent" else 0
+    coeffs = st.integers(-3, 3).filter(bool) | st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.integers(2, 6))
+
+    def poly(names, max_size=3):
+        return sum((LaurentPoly.term(e, c) for e, c in data.draw(st.lists(st.tuples(
+            st.dictionaries(st.sampled_from(names), st.integers(low, 2), max_size=2),
+            coeffs), min_size=1, max_size=max_size))), LaurentPoly.zero())
+
+    def step(names):  # a difference of two monomials: 0 at (1, ..., 1)
+        exps = st.dictionaries(st.sampled_from(names), st.integers(low, 2), max_size=2)
+        return LaurentPoly.term(data.draw(exps)) - LaurentPoly.term(data.draw(exps))
+
+    # f = sum of rank-one terms A_j (x) B_j, most with a factor in the kernel: a
+    # member when all of them have one, or when the others cancel.  The rest
+    # vanish at (1, ..., 1) too, so the factors, not the coefficient sum, decide.
+    f = LaurentPoly.zero()
+    for _ in range(data.draw(st.integers(1, 5))):
+        a, b = poly(first), poly(rest)
+        if data.draw(st.sampled_from((True, True, False))):
+            relation = data.draw(st.sampled_from(ring.declared))
+            a = a * relation if relation.names() <= set(first) else a
+            b = b * relation if relation.names() <= set(rest) else b
+        else:
+            b = b * step(rest)
+        f = f + a * b
+    if data.draw(st.booleans()):  # a lone monomial, or a cancelling term
+        f = f + poly(ring.names(), 1)
+    combined = _combined(ring)
+    assert ring.kernel_member(f) == (not combined._image_ints(f)[0])
+    assert ring.kernel_witness(f) == combined.kernel_witness(f)
+
+
+def test_tensor_factor_errors_match_the_combined_path():
+    term = LaurentPoly.term
+    cases = {  # selector -> polynomials whose first bad factor raises
+        "box:3": [term({"x1": 1}) + term({"q": 1}), term({"q": 2, "x1": 1}),
+                  term({"y3": -1}) + term({"q": 1}), term({"q": 1}) + term({"x1": 1, "y2": -2}),
+                  term({"y1": 2, "x3": -1}), term({"y2": 1, "zz": -1})],
+        "product:d1,d2": [term({"x": 1}) + term({"q": 1}), term({"z_r": -1, "q": 2}),
+                          term({"x1": 1})],
+    }
+    plain = product_presentation(box_ring(1), box_ring(1)).combined
+    rings = [(ring_from_selector(sel), polys) for sel, polys in cases.items()]
+    rings.append((plain, [term({"x": 1, "y_r": -1}), term({"x_r": 1, "q": 1})]))
+    for ring, polys in rings:
+        assert ring.tensor
+        combined = _combined(ring)
+        for f in polys:
+            for call in ("kernel_member", "kernel_witness"):
+                with pytest.raises((KeyError, NonInvertibleError)) as expected:
+                    getattr(combined, call)(f)
+                with pytest.raises(expected.type) as got:
+                    getattr(ring, call)(f)
+                assert got.type is expected.type and str(got.value) == str(expected.value)
+    with pytest.raises(KeyError, match="unknown generator 'q' in ring box:3"):
+        box_ring(3).kernel_member(cases["box:3"][0])
+    with pytest.raises(NonInvertibleError, match="non-invertible generator 'y3'"):
+        box_ring(3).kernel_member(cases["box:3"][2])
+
+
+def test_box_members_make_no_image_on_the_combined_ring(monkeypatch):
+    folded = []
+    images = Presentation._images
+    monkeypatch.setattr(Presentation, "_images",
+                        lambda self, polys: folded.append(self.ring_id) or images(self, polys))
+    ring = box_ring(3)
+    assert ring.kernel_member(parse_poly("(y1^2 - 1)*(y1^2 - x1^2)*y2^3*y3^2*x2 + x3*y2 - y2*x3"))
+    assert ring.kernel_witness(parse_poly("(y2 - 1)*(y2 - x2)*(1 + y1 + y3^2)")) is None
+    four = box_ring(4)
+    Presentation(four.ring_id, four.mode, list(four.generators.values()), four.declared,
+                 four.tensor)
+    assert folded and set(folded) == {"box:1"}
+    assert not ring.kernel_member(parse_poly("y1*y2*y3 - x1"))
+    assert "box:3" not in folded
+    assert ring.kernel_witness(parse_poly("y1*y2*y3 - x1")) is not None
+    assert "box:3" in folded

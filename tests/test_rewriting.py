@@ -187,3 +187,24 @@ def test_piece_text_spells_the_piece_monomial():
             else:
                 expected = mono if kind == "1" else f"{mono}*{sym}"
             assert rw.piece_text((a, b, kind)) == expected
+
+
+# -- the tilings in one pass over the points, against f_n, f_(n-1), f_(n-2) ---
+
+
+def test_one_pass_tilings_match_the_three_point_sums():
+    pieces = rw._open_pieces_sum()
+    down = parse_poly("x1*x2*z^-1")
+    for n in range(31):
+        points = rw.triangle_points_poly
+        assert rw.triangle_tiling(n) == (points(n) + points(n - 1) * pieces
+                                         + points(n - 2) * down)
+        row = rw.homogeneous_sum
+        strip = row(n + 1) + row(n) * pieces + row(n - 1) * down
+        assert rw.strip_identity(n + 1) == parse_poly(f"z^{n + 1} - z^{n}") - strip
+
+
+def test_second_normal_form_from_given_pieces():
+    for s in (TRI, geo.grid_set(0, 2, 0, 2, 1, 3), geo.grid_set(-1, 3, 0, 4, 1, 5)):
+        pieces = rw.second_normal_form_pieces(s)
+        assert rw.second_normal_form(s, pieces) == rw.second_normal_form(s)

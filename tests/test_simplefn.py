@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import minkring.geometry as geo
 import minkring.simplefn as sf
 from minkring.laurent import LaurentPoly, monomial
-from minkring.presentations import box_ring, coxeter_ring
+from minkring.presentations import box_ring, coxeter_ring, interval_ring
 from minkring.products import product_presentation
 from minkring.scalars import Scalar
 from conftest import random_family_polytope, random_gridset, random_interval
@@ -347,3 +347,33 @@ def test_arithmetic_refuses_foreign_operands():
     assert 2 * f == f * Fraction(2) == f + f
     assert -f == f * -1 and sf.is_zero(f * 0)
     assert all(type(q) is Fraction for q in (f * 3).terms.values())
+
+
+# -- euler_char per piece of each step, against the cell sum over terms --------
+
+
+EULER_RINGS = {
+    "coxeter": coxeter_ring,
+    "box:3": lambda: box_ring(3, signed=True),
+    "product:d1,d2": lambda: product_presentation(
+        box_ring(1, signed=True), coxeter_ring()).combined,
+    "interval:sqrt2,2sqrt2": lambda: interval_ring(Scalar.sqrt2(), 2 * Scalar.sqrt2(),
+                                                   mode="laurent"),
+    "interval:-1,sqrt2": lambda: interval_ring(-1, Scalar.sqrt2(), mode="laurent"),
+}
+
+
+@pytest.mark.parametrize("ring_id", sorted(EULER_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_euler_char_matches_the_cell_sum(ring_id, data):
+    ring = EULER_RINGS[ring_id]()
+    terms = data.draw(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(ring.names()), st.integers(-2, 3), max_size=3),
+        st.integers(-3, 3).filter(bool) | st.builds(
+            Fraction, st.integers(-6, 6).filter(bool), st.integers(2, 6))),
+        max_size=4))
+    f = ring.phi(sum((LaurentPoly.term(e, c) for e, c in terms), LaurentPoly.zero()))
+    cells = sum((q * (-1) ** c.DIM for c, q in f.terms.items()), Fraction(0))
+    value = sf.euler_char(f)
+    assert type(value) is Fraction and value == cells
