@@ -5,9 +5,9 @@ For a polytope P and a set C of its faces, the product of the differences
 C covers every vertex of P.  This module expands such products, verifies
 them through the semantic oracle, decides the cover criterion, implements
 the replacement relation on antichains of faces (swap one face for a set of
-its own faces covering its vertices), and enumerates the antichain covers
-that are minimal in the resulting order; those yield the defining
-identities.
+its own faces covering its vertices), and finds the antichain covers that
+are minimal in the resulting order, which yield the defining identities, by
+a test on each cover grown from the first uncovered vertex.
 
 Kernel checks embed the polytope with one vertex anchored at the origin,
 since kernels of translated polytopes differ; the anchor is reported next
@@ -159,51 +159,49 @@ def _check_poset_member(c: CoverSpec) -> None:
 
 def covers_relation(a: CoverSpec, b: CoverSpec) -> bool:
     """True when b arises from a by swapping one face A for a set of faces
-    of A that covers the vertices of A (the identity swap is excluded)."""
+    of A that covers the vertices of A (the identity swap is excluded):
+    a - b = {A}, and b - a lies in the faces of A and covers its vertices."""
     if a.polytope != b.polytope:
         raise ValueError("covers_relation needs a common polytope")
     _check_poset_member(a)
     _check_poset_member(b)
-    sa, sb = set(a.faces), set(b.faces)
-    if sa == sb:
+    gone, introduced = set(a.faces) - set(b.faces), set(b.faces) - set(a.faces)
+    if len(gone) != 1:
         return False
-    for swapped in sa:
-        if swapped in sb:
-            continue
-        rest = sa - {swapped}
-        if not rest <= sb:
-            continue
-        introduced = sb - rest
-        sub_faces = set(geo.faces(swapped))
-        if not introduced <= sub_faces:
-            continue
-        replacement = {f for f in sb if f in sub_faces}
-        if covers_vertices(CoverSpec(swapped, tuple(replacement))):
-            return True
-    return False
+    swapped = gone.pop()
+    return (introduced <= set(geo.faces(swapped))
+            and covers_vertices(CoverSpec(swapped, tuple(introduced))))
 
 
 def minimal_antichains(p: Polytope) -> list:
     """All antichains of proper faces covering the vertices of p that are
     minimal in the order generated by the swap relation together with
-    inclusion; these give the defining identities."""
-    all_faces = geo.faces(p)
-    if len(all_faces) > 12:
-        raise ValueError(f"face count {len(all_faces)} exceeds the bound 12")
-    proper = [f for f in all_faces if f != p]
-    pool = []
-    for r in range(1, len(proper) + 1):
-        for combo in combinations(proper, r):
-            if _is_antichain(combo):
-                spec = CoverSpec(p, combo)
-                if covers_vertices(spec):
-                    pool.append(spec)
-    # An element has a predecessor in the generated order exactly when it has
-    # a direct one, because the last step of any chain is direct.
-    sets = [set(s.faces) for s in pool]
-    minimal = [b for j, b in enumerate(pool)
-               if not any(i != j and (sets[i] < sets[j] or covers_relation(a, b))
-                          for i, a in enumerate(pool))]
-    minimal.sort(key=lambda s: (len(s.faces),
-                                tuple(geo.polytope_sort_key(f) for f in s.faces)))
-    return minimal
+    inclusion; these give the defining identities.  A cover has a
+    predecessor exactly when it has a direct one, and a cover b fixes its
+    direct ones: b less a redundant face, and (b - I) + {A} for each proper
+    face A in no face of b whose vertices I, b's faces inside A, cover.  So
+    each cover grown from the first uncovered vertex of p is tested alone."""
+    proper = [f for f in geo.faces(p) if f != p]
+    if len(proper) > 12:
+        raise ValueError(f"face count {len(proper) + 1} exceeds the bound 13")
+    verts = {f: set(geo.vertices(f)) for f in proper}
+    inside = {f: set(geo.faces(f)) for f in proper}
+
+    def grow(chosen: frozenset, covered: set, banned: frozenset):
+        v = next((v for v in geo.vertices(p) if v not in covered), None)
+        if v is None:
+            yield chosen
+            return
+        options = [f for f in proper if v in verts[f] and f not in banned
+                   and not any(f in inside[g] or g in inside[f] for g in chosen)]
+        for i, f in enumerate(options):  # each cover grows along one branch
+            yield from grow(chosen | {f}, covered | verts[f], banned.union(options[:i]))
+
+    def minimal(b: frozenset) -> bool:
+        return not (any(covers_vertices(CoverSpec(p, tuple(b - {f}))) for f in b)
+                    or any(covers_vertices(CoverSpec(a, tuple(b & inside[a])))
+                           for a in proper if not any(a in inside[g] for g in b)))
+
+    return sorted((CoverSpec(p, tuple(f for f in proper if f in b))
+                   for b in grow(frozenset(), set(), frozenset()) if minimal(b)),
+                  key=lambda s: (len(s.faces), tuple(map(geo.polytope_sort_key, s.faces))))

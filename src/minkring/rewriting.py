@@ -143,17 +143,18 @@ def first_normal_form(s: GridSet) -> tuple:
 # the cell's (a down-triangle is z^-1 placed at its top vertex).
 _PIECE_OF_CELL = {GridVertex: ("1", 0), GridEdgeU: ("y1o", 0), GridEdgeV: ("y2o", 0),
                   GridEdgeS: ("y3o", 0), GridTriUp: ("zo", 0), GridTriDown: ("zinv", 1)}
-_PIECE_ORDER = {kind: i for i, kind in enumerate(_PIECE_POLY)}
 
 
 def second_normal_form_pieces(s: GridSet) -> tuple:
-    """Open-piece terms (a, b, kind) tiling the polygon disjointly."""
+    """Open-piece terms (a, b, kind) tiling the polygon disjointly, by kind in
+    _PIECE_POLY order, then by (a, b): decompose_cells lists the cells so, and
+    the down-triangle's shift of both coordinates by 1 keeps that order."""
     pieces = []
     for cell in geo.decompose_cells(s):
         kind, shift = _PIECE_OF_CELL[type(cell)]
         u, v = cell[1:]
         pieces.append((u + shift, v + shift, kind))
-    return tuple(sorted(pieces, key=lambda t: (_PIECE_ORDER[t[2]], t[0], t[1])))
+    return tuple(pieces)
 
 
 def second_normal_form(s: GridSet, pieces=None) -> LaurentPoly:

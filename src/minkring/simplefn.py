@@ -41,6 +41,7 @@ from typing import Mapping, Sequence
 
 from . import geometry as geo
 from .geometry import Ambient, Cell, Polytope
+from .laurent import _coefficient
 
 
 class AmbientMismatchError(ValueError):
@@ -60,7 +61,7 @@ class SimpleFunction:
     __slots__ = ("ambient", "width", "deltas", "_terms")
 
     def __init__(self, ambient: Ambient, terms: Mapping[Cell, Fraction] | None = None):
-        terms = {c: Fraction(q) for c, q in (terms or {}).items()}
+        terms = {c: Fraction(_coefficient(q)) for c, q in (terms or {}).items()}
         fn = from_closed(ambient, _basis(terms))
         self.ambient, self.width, self.deltas = ambient, fn.width, fn.deltas
         self._terms = None
@@ -157,7 +158,7 @@ def combine(coeffs: Sequence, fns: Sequence[SimpleFunction]) -> SimpleFunction:
         raise ValueError("combine needs at least one function")
     ambient, width = fns[0].ambient, max(f.width for f in fns)
     acc: dict = {}
-    for q, f in zip(coeffs, fns):
+    for q, f in zip(map(_coefficient, coeffs), fns):
         if f.ambient != ambient:
             raise AmbientMismatchError(f"{f.ambient} vs {ambient}")
         if q:

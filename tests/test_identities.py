@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import minkring.identities as ids
 import minkring.simplefn as sf
 from minkring.cli import parse_poly
 from minkring.laurent import LaurentPoly
-from minkring.presentations import _box_ring, coxeter_ring
+from minkring.presentations import _box_ring, box_ring, coxeter_ring, interval_ring
 from minkring.scalars import Scalar
 from conftest import random_gridset, well_formed
 
@@ -249,3 +250,120 @@ def test_id_context_rejects_products_before_building_a_ring():
     with pytest.raises(ValueError, match="ProductPolytope family"):
         ids.id_context(spec)
     assert (_box_ring.cache_info().misses, coxeter_ring.cache_info().misses) == before
+
+
+# The reference search: every antichain cover of the proper faces, then a pass
+# over every pair for a strict subset or a swap, decided face by face.
+
+
+def _looping_covers_relation(a, b):
+    if a.polytope != b.polytope:
+        raise ValueError("covers_relation needs a common polytope")
+    for c in (a, b):
+        if c.polytope in c.faces:
+            raise ids.AntichainError("the polytope itself is not allowed in antichains")
+        if not ids._is_antichain(c.faces):
+            raise ids.AntichainError(f"faces are not an antichain: {c.faces}")
+    sa, sb = set(a.faces), set(b.faces)
+    if sa == sb:
+        return False
+    for swapped in sa:
+        if swapped in sb:
+            continue
+        rest = sa - {swapped}
+        if not rest <= sb:
+            continue
+        introduced = sb - rest
+        sub_faces = set(geo.faces(swapped))
+        if not introduced <= sub_faces:
+            continue
+        replacement = {f for f in sb if f in sub_faces}
+        if ids.covers_vertices(ids.cover(swapped, replacement)):
+            return True
+    return False
+
+
+def _antichains(p):
+    proper = [f for f in geo.faces(p) if f != p]
+    return [ids.cover(p, combo) for r in range(1, len(proper) + 1)
+            for combo in itertools.combinations(proper, r) if ids._is_antichain(combo)]
+
+
+def _exhaustive_minimal_antichains(p):
+    pool = [c for c in _antichains(p) if ids.covers_vertices(c)]
+    sets = [set(c.faces) for c in pool]
+    minimal = [b for j, b in enumerate(pool)
+               if not any(i != j and (sets[i] < sets[j] or _looping_covers_relation(a, b))
+                          for i, a in enumerate(pool))]
+    minimal.sort(key=lambda s: (len(s.faces),
+                                tuple(geo.polytope_sort_key(f) for f in s.faces)))
+    return minimal
+
+
+def test_minimal_antichains_match_the_exhaustive_search(rng):
+    hexagons = [geo.grid_set(0, 2, 0, 2, 1, 3), geo.grid_set(-1, 2, 0, 3, 1, 4)]
+    polygons = [random_gridset(rng) for _ in range(40)]
+    segment, point = geo.box((0,), (1,)), geo.box((2,), (2,))
+    polytopes = [*hexagons, *polygons, TRI, geo.box((0, 0), (1, 1)),
+                 geo.box((-1,), (2,)), geo.box((0, 1), (2, 1)), geo.box((1, 0), (3, 2)),
+                 geo.product(segment, segment), geo.product(point, segment),
+                 geo.interval(0, 1), geo.interval(Fraction(-1, 2), 3),
+                 geo.interval(-1, Scalar.sqrt2()), geo.line_point(Scalar.sqrt2())]
+    assert [len(geo.faces(h)) for h in hexagons] == [13, 13]
+    checked = set()
+    for p in polytopes:
+        for face in geo.faces(p):
+            if face not in checked:
+                checked.add(face)
+                assert ids.minimal_antichains(face) == _exhaustive_minimal_antichains(face)
+    assert [len(ids.minimal_antichains(h)) for h in hexagons] == [20, 20]
+
+
+def _outcome(relation, a, b):
+    try:
+        return relation(a, b)
+    except ValueError as e:  # AntichainError included
+        return type(e), str(e)
+
+
+def test_covers_relation_matches_the_face_by_face_loop():
+    for p in (TRI, geo.box((0, 0), (1, 1)), geo.grid_set(0, 2, 0, 2, 0, 3), geo.interval(0, 1)):
+        specs = _antichains(p)
+        edge = next(f for f in geo.faces(p) if geo.dim(f) == 1)
+        bad = [ids.cover(p, (p,)), ids.cover(p, (edge, geo.vertices(edge)[0])),
+               ids.cover(edge, geo.vertices(edge))]
+        for a in specs + bad:
+            for b in specs + bad:
+                assert _outcome(ids.covers_relation, a, b) == \
+                    _outcome(_looping_covers_relation, a, b)
+
+
+# The catalog rings' declared relations are the face-cover identities.
+
+
+def _named(name):
+    return LaurentPoly.const(1) if name == "1" else LaurentPoly.var(name)
+
+
+def _minimal_cover_relations(pres, origin):
+    """prod over G in C of (g_F - g_G) for each minimal cover C of each
+    generator face F of dimension >= 1, the origin vertex read as 1: faces
+    in generator-name order, the covers of each by their sorted names."""
+    names = {g.polytope: name for name, g in pres.generators.items()}
+    names[origin] = "1"
+    out = []
+    for name in sorted(pres.generators):
+        face = pres.generators[name].polytope
+        if geo.dim(face) >= 1:
+            covers = sorted(sorted(names[g] for g in c.faces)
+                            for c in ids.minimal_antichains(face))
+            out += [math.prod((_named(name) - _named(g) for g in c), start=_named("1"))
+                    for c in covers]
+    return out
+
+
+def test_declared_relations_are_the_minimal_cover_identities():
+    for pres, origin in ((coxeter_ring(), O), (box_ring(1), geo.box_point((0,))),
+                         (interval_ring(0, 1), geo.line_point(0))):
+        assert _minimal_cover_relations(pres, origin) == list(pres.declared)
+    assert len(coxeter_ring().declared) == 9

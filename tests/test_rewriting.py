@@ -208,3 +208,15 @@ def test_second_normal_form_from_given_pieces():
     for s in (TRI, geo.grid_set(0, 2, 0, 2, 1, 3), geo.grid_set(-1, 3, 0, 4, 1, 5)):
         pieces = rw.second_normal_form_pieces(s)
         assert rw.second_normal_form(s, pieces) == rw.second_normal_form(s)
+
+
+# -- decompose_cells' order is the piece order, with no sort ------------------
+
+
+def test_pieces_come_in_piece_order_then_by_anchor(rng):
+    order = {kind: i for i, kind in enumerate(rw._PIECE_POLY)}
+    polygons = [random_gridset(rng, span=5) for _ in range(200)]
+    polygons += [geo.scale(TRI, n) for n in range(31)] + [geo.grid_set(0, 8, 0, 8, 4, 12)]
+    for s in polygons:
+        pieces = rw.second_normal_form_pieces(s)
+        assert pieces == tuple(sorted(pieces, key=lambda t: (order[t[2]], t[0], t[1])))

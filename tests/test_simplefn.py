@@ -49,6 +49,21 @@ def test_combine_examples():
         assert sf.evaluate_at(merged, Scalar.of(point)) == expected
 
 
+def test_float_weights_are_refused_at_both_entry_points():
+    f = sf.indicator(TRI)
+    cell = geo.decompose_cells(TRI)[0]
+    message = "float coefficient 0.1; use an int or a Fraction"
+    for make in (lambda q: sf.combine([q], [f]), lambda q: sf.combine([1, q], [f, f]),
+                 lambda q: sf.SimpleFunction(TRI.ambient, {cell: q})):
+        with pytest.raises(TypeError, match=message):
+            make(0.1)
+        with pytest.raises(TypeError, match="float coefficient 0.0"):
+            make(0.0)
+        assert all(type(w) is Fraction for w in make(Fraction(1, 10)).terms.values())
+    assert sf.SimpleFunction(TRI.ambient, {cell: Fraction(1, 10)}) == sf.combine(
+        [Fraction(1, 10)], [sf.SimpleFunction(TRI.ambient, {cell: 1})])
+
+
 def test_combine_ambient_mismatch():
     with pytest.raises(sf.AmbientMismatchError):
         sf.combine([1, 1], [sf.indicator(TRI), sf.indicator(geo.box((0,), (1,)))])
