@@ -518,9 +518,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """One parser for every ``main`` call: building it takes milliseconds,
-    parsing tens of microseconds, and ``parse_args`` leaves it unchanged."""
+def _parser() -> tuple:
+    """The top parser and its parser per verb, for every ``main`` call: building
+    them takes milliseconds, parsing tens of microseconds, and none changes."""
     top = _ArgumentParser(prog="minkring", description="exact Minkowski-ring queries")
     sub = top.add_subparsers(dest="verb", required=True)
     for verb, (help_text, arguments) in _VERBS.items():
@@ -528,16 +528,22 @@ def _parser() -> argparse.ArgumentParser:
         for name, keywords in arguments:
             p.add_argument(name, **keywords)
         p.add_argument("--format", choices=("structured", "text"), default="structured")
-    return top
+    return top, sub.choices
 
 
 def main(argv=None, out=None) -> int:
     """Run one verb, or ``-h``, printing to ``out`` (stdout by default): 0
-    when the query ran, 1 with one ``error:`` line on stderr otherwise."""
+    when the query ran, 1 with one ``error:`` line on stderr otherwise.  An
+    argv that starts with a verb is parsed by that verb's parser alone."""
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        top, verbs = _parser()
         with redirect_stdout(out):  # -h prints its help to stdout, then exits 0
-            args = _parser().parse_args(argv)
+            if argv and argv[0] in verbs:
+                args = verbs[argv[0]].parse_args(argv[1:], argparse.Namespace(verb=argv[0]))
+            else:
+                args = top.parse_args(argv)
         if getattr(args, "payload", None) == "-":
             args.payload = sys.stdin.read().strip()
         # Looked up at call time, so a wrapper rebound to the module

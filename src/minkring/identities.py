@@ -17,11 +17,14 @@ Every weight in these products is an integer, a product of +-1 face signs:
 :func:`id_holds` multiplies step forms with int weights, and the Laurent
 product of :func:`id_context` keeps int coefficients by the coefficient rule
 of :mod:`minkring.laurent`.
+
+Both products are cached per sub-cover in one lru cache, bounded at the
+512 face sets of the square and keyed on (polytope, frozenset of faces), so
+a cover in any face order extends its longest cached prefix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -82,17 +85,41 @@ def anchored(c: CoverSpec) -> tuple:
     return moved, off
 
 
+@lru_cache(maxsize=512)
+def _cover_memo(p: Polytope, faces: frozenset) -> list:
+    """One sub-cover's [step form, Laurent product], each None until made."""
+    return [None, None]
+
+
+def _cover_product(p: Polytope, faces: tuple, slot: int, value, times):
+    """The product over faces, by times(product, face) from value, the empty
+    product: the longest prefix with a product in slot `slot` of its memo
+    times each later face, each longer prefix's product stored."""
+    todo = []  # (memo, last face) of each prefix longer than the cached one
+    for i in range(len(faces), 0, -1):
+        memo = _cover_memo(p, frozenset(faces[:i]))
+        if memo[slot] is not None:
+            value = memo[slot]
+            break
+        todo.append((memo, faces[i - 1]))
+    for memo, face in reversed(todo):
+        if value is None or value:  # a zero product is the whole product
+            value = times(value, face)
+        memo[slot] = value
+    return value
+
+
 def id_holds(c: CoverSpec) -> bool:
     """Semantic truth of the identity: the expanded product of the
     indicator differences is the zero function: the first difference times
     each next one by times_closed, on int weights, to the first zero."""
-    p, fn = c.polytope, None
-    for face in c.faces:
+    p = c.polytope
+
+    def times(fn, face):
         diff = {p: 1, face: -1} if face != p else {}  # [P] - [P] is zero
-        fn = sf.from_closed(p.ambient, diff) if fn is None else sf.times_closed(fn, diff)
-        if sf.is_zero(fn):
-            return True
-    return False
+        return sf.from_closed(p.ambient, diff) if fn is None else sf.times_closed(fn, diff)
+    fn = _cover_product(p, c.faces, 0, None, times)
+    return fn is not None and sf.is_zero(fn)
 
 
 @lru_cache(maxsize=None)
@@ -134,8 +161,8 @@ def id_context(c: CoverSpec) -> tuple:
                          "family: identities expand over grid polygons, boxes "
                          "and intervals")
     p_poly = poly(p)
-    return pres, math.prod((p_poly - poly(f) for f in ac.faces),
-                           start=LaurentPoly.const(1)), off
+    return pres, _cover_product(p, ac.faces, 1, LaurentPoly.const(1),
+                                lambda acc, f: acc * (p_poly - poly(f))), off
 
 
 def id_expand(c: CoverSpec) -> LaurentPoly:

@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from . import geometry as geo
-from .laurent import LaurentPoly, fold_terms, monomial
+from .laurent import LaurentPoly, fold_terms, mono_mul, monomial
 from .presentations import Generator, Presentation
 
 RIGHT_SUFFIX = "_r"
@@ -84,7 +84,7 @@ def psi_split(f: LaurentPoly, left_names: Iterable[str],
 
 
 def _monomials_up_to(names: Sequence[str], bound: int) -> list:
-    return [LaurentPoly.term(dict(zip(names, exps)))
+    return [monomial(dict(zip(names, exps)))
             for exps in iproduct(range(bound + 1), repeat=len(names)) if sum(exps) <= bound]
 
 
@@ -114,10 +114,11 @@ def verify_tensor_identity(pp: ProductPresentation, bound: int = 2,
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
     rights = _monomials_up_to(pp.right_names, bound)
+    drops = (set(pp.right_names), set(pp.left_names))
     for ml in _monomials_up_to(pp.left_names, bound):
-        for mr in rights:
-            fl, fr = psi_split(ml * mr, pp.left_names, pp.right_names)
-            if fl != ml or fr != mr:
+        for mr in rights:  # psi_split of the pair's product, on monomial tuples
+            m = mono_mul(ml, mr)
+            if tuple(tuple(p for p in m if p[0] not in drop) for drop in drops) != (ml, mr):
                 return False
     rng = random.Random(seed)
     for _ in range(samples):

@@ -199,13 +199,18 @@ def _tiling(n: int, row: bool = False) -> LaurentPoly:
     pass over the points x1^i x2^j of degree d = i + j <= n: f(k) is the side-k
     triangle, d <= k (triangle_points_poly), or its row d = k (homogeneous_sum)."""
     layers = (LaurentPoly.const(1), _open_pieces_sum(), _X1 * _X2 * LaurentPoly.var("z", -1))
+    # Each piece is x1^a x2^b (a, b >= 0) times names sorted after x2, so its
+    # product with a point joins the point's shifted powers and the rest.
+    split = [[(dict(m).get("x1", 0), dict(m).get("x2", 0),
+               tuple(p for p in m if p[0] > "x2"), c) for m, c in layer.terms.items()]
+             for layer in layers]
+    x1s, x2s = ([((x, e),) if e else () for e in range(n + 2)] for x in ("x1", "x2"))
     pairs = []
     for d in range(max(n - 2, 0) if row else 0, n + 1):
-        used = [layer.terms.items() for t, layer in enumerate(layers)
-                if d == n - t or (d < n - t and not row)]
+        used = [split[t] for t in range(3) if d == n - t or (d < n - t and not row)]
         for i in range(d + 1):
-            at = monomial({"x1": i, "x2": d - i})
-            pairs += [(mono_mul(at, m), c) for terms in used for m, c in terms]
+            pairs += [(x1s[a + i] + x2s[b + d - i] + rest, c)
+                      for pieces in used for a, b, rest, c in pieces]
     return fold_terms(pairs)
 
 

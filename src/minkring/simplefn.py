@@ -202,6 +202,7 @@ def from_closed(ambient: Ambient, basis: Mapping) -> SimpleFunction:
     deltas: dict = {}
     get, runs = deltas.get, ambient.runs
     for p, q in basis.items():
+        _coefficient(q)  # refuses a float weight
         for start, stop in runs(p, width):
             deltas[start] = get(start, 0) + q
             deltas[stop] = get(stop, 0) - q
@@ -219,6 +220,8 @@ def times_closed(f: SimpleFunction, basis: Mapping) -> SimpleFunction:
     """f times a closed-basis element: per run of f's cells, its shape's cached
     image moved to each cell, as a presentation moves a monomial's shape image."""
     ambient, items = f.ambient, tuple(basis.items())
+    for _, q in items:
+        _coefficient(q)  # refuses a float weight
     pieces = [(v, _shape_image(shape, items), offset, count)
               for start, stop, v in geo.steps(f.deltas)
               for shape, offset, count in ambient.pieces(start, stop, f.width)]

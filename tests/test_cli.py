@@ -1,6 +1,7 @@
 import io
 import random
 import re
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minkring import cli
 from minkring.cli import (ParseError, main, parse_gridset, parse_poly,
                           parse_scalar)
 from minkring.laurent import LaurentPoly, poly_sum
@@ -520,3 +522,64 @@ def test_classify_rejects_trailing_selector_parts(capsys):
         assert code == 1 and report == ""
         assert capsys.readouterr().err.splitlines() == [
             f"error: unknown principal option {extra!r}"]
+
+
+def _top_parser_outcome(argv):
+    """What the top parser alone makes of argv: its arguments, its help
+    text, or main's one-line error."""
+    top, _ = cli._parser()
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return "args", vars(top.parse_args(argv))
+    except SystemExit:
+        return "help", out.getvalue()
+    except ValueError as exc:
+        return "error", f"error: {exc}\n"
+
+
+def _main_outcome(argv, monkeypatch, capsys):
+    """What main makes of argv, each verb replaced by one that keeps its
+    arguments."""
+    seen = []
+    for verb in cli._VERBS:
+        monkeypatch.setattr(cli, "cmd_" + verb.replace("-", "_"),
+                            lambda args: seen.append(vars(args)) or ([], []))
+    out = io.StringIO()
+    code = main(argv, out)
+    err = capsys.readouterr().err
+    if seen:
+        return "args", seen[0]
+    return ("help", out.getvalue()) if code == 0 else ("error", err)
+
+
+_FULL_ARGV = {
+    "member": ["--ring", "coxeter", "z - 1"],
+    "euler": ["--ring", "box:1", "x*y"],
+    "normalize": ["--gridset", "u:0..1,v:0..1,s:0..2"],
+    "tile": ["--axis", "y2", "--n", "3"],
+    "identity": ["--polytope", "square", "--cover", "edge:top,vertex:00"],
+    "minimal-covers": ["--polytope", "triangle"],
+    "product": ["--left", "d1", "--right", "d2", "--bound", "1", "--samples", "2",
+                "--seed", "5"],
+    "classify": ["--ring", "principal:origin"],
+}
+
+
+def test_one_level_parse_matches_the_top_parser(monkeypatch, capsys):
+    argvs = [[], ["-h"], ["--help"], ["frobnicate"], ["ident"], ["--format", "text"],
+             ["--format", "text", "tile", "--n", "2"], ["tile", "--n", "x"],
+             ["tile", "--n", "2", "--axis", "w"], ["tile", "--n"], ["tile", "--n", "-2"],
+             ["member", "--ring", "coxeter", "--", "-z"]]
+    for verb, rest in _FULL_ARGV.items():
+        argvs += [[verb, *rest], [verb, *rest, "--format", "text"], [verb, "-h"],
+                  [verb, *rest, "--help"], [verb], [verb, *rest, "extra"],
+                  [verb, *rest, "--format", "xml"], [verb, *rest, "--frob"],
+                  [verb, *rest[:1]], [verb, *rest[::-1]]]
+    kinds = set()
+    for argv in argvs:
+        expected = _top_parser_outcome(argv)
+        assert _main_outcome(argv, monkeypatch, capsys) == expected, argv
+        assert expected[0] != "error" or expected[1].count("\n") == 1
+        kinds.add(expected[0])
+    assert kinds == {"args", "help", "error"}

@@ -367,3 +367,65 @@ def test_declared_relations_are_the_minimal_cover_identities():
                          (interval_ring(0, 1), geo.line_point(0))):
         assert _minimal_cover_relations(pres, origin) == list(pres.declared)
     assert len(coxeter_ring().declared) == 9
+
+
+# The cover cache against an uncached product, multiplied left to right in
+# the cover's own face order with no early exit.
+
+
+def _uncached(spec):
+    """(id_holds, id_context) of spec from its one-face expansions, each made
+    with the cover cache cleared, and one left-to-right step-form product."""
+    p, fn, product = spec.polytope, None, LaurentPoly.const(1)
+    pres, _, off = ids.id_context(ids.cover(p, []))
+    for face in spec.faces:
+        diff = {p: 1, face: -1} if face != p else {}
+        fn = sf.from_closed(p.ambient, diff) if fn is None else sf.times_closed(fn, diff)
+        ids._cover_memo.cache_clear()
+        product = product * ids.id_expand(ids.cover(p, [face]))
+    ids._cover_memo.cache_clear()
+    return fn is not None and sf.is_zero(fn), (pres, product, off)
+
+
+def _refused(*args):
+    raise AssertionError("a cached cover multiplied again")
+
+
+def test_cover_cache_matches_the_uncached_product(rng, monkeypatch):
+    hexagon, cube = geo.grid_set(0, 2, 0, 2, 1, 3), geo.box((0, 0, 0), (1, 1, 1))
+    specs = [*_all_covers(TRI), *_all_covers(geo.box((0, 0), (1, 1))),
+             *_all_covers(geo.interval(1, Scalar.sqrt2())),
+             *(ids.cover(p, rng.sample(geo.faces(p), rng.randint(1, 5)))
+               for p in [hexagon] * 40 + [cube] * 30)]
+    assert len(specs) == 2 ** 7 + 2 ** 9 + 2 ** 3 + 40 + 30
+
+    def shuffled(spec):
+        return ids.cover(spec.polytope, rng.sample(spec.faces, len(spec.faces)))
+
+    expected = {}
+    for spec in specs:
+        expected[spec.polytope, frozenset(spec.faces)] = _uncached(shuffled(spec))
+        assert ids._cover_memo.cache_info().currsize == 0
+
+    def check(spec):
+        holds, context = expected[spec.polytope, frozenset(spec.faces)]
+        assert ids.id_holds(spec) == holds == ids.covers_vertices(spec)
+        assert ids.id_context(spec) == context
+        assert ids.id_expand(spec) == context[1]
+
+    for spec in specs:  # cold, then again in another order with no product made
+        ids._cover_memo.cache_clear()
+        check(shuffled(spec))
+        with monkeypatch.context() as m:
+            for owner, name in ((sf, "from_closed"), (sf, "times_closed"),
+                                (LaurentPoly, "__mul__")):
+                m.setattr(owner, name, _refused)
+            check(shuffled(spec))
+    ids._cover_memo.cache_clear()
+    for spec in specs + specs:  # warm: each polytope's covers in turn, then again
+        check(shuffled(spec))
+    assert 0 < ids._cover_memo.cache_info().currsize <= 512
+    ids._cover_memo.cache_clear()
+    assert ids._cover_memo.cache_info().currsize == 0
+    for spec in rng.sample(specs, len(specs)):  # interleaved
+        check(shuffled(spec))

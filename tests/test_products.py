@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -6,7 +8,7 @@ import minkring.geometry as geo
 from minkring.cli import parse_poly
 from minkring.laurent import LaurentPoly
 from minkring.presentations import box_ring, coxeter_ring, point_ring
-from minkring.products import (product_presentation, psi_split,
+from minkring.products import (_monomials_up_to, product_presentation, psi_split,
                                random_ideal_element, rename_poly,
                                verify_tensor_identity)
 from conftest import well_formed
@@ -104,6 +106,37 @@ def test_tensor_identity():
     pp = product_presentation(d1(), d1())
     assert verify_tensor_identity(pp, bound=0, samples=4)
     assert verify_tensor_identity(pp, bound=2, samples=10)
+
+
+def _split_check_on_polynomials(pp, bound):
+    """The structural check on polynomials: each monomial pair's product
+    split by psi_split, both sides compared as polynomials."""
+    def monomials(names):
+        return [LaurentPoly.term(dict(zip(names, exps)))
+                for exps in itertools.product(range(bound + 1), repeat=len(names))
+                if sum(exps) <= bound]
+    rights = monomials(pp.right_names)
+    return all(psi_split(ml * mr, pp.left_names, pp.right_names) == (ml, mr)
+               for ml in monomials(pp.left_names) for mr in rights)
+
+
+def test_tensor_identity_matches_the_polynomial_level_loop():
+    d2, point = coxeter_ring(), point_ring()
+    pps = [product_presentation(*pair) for pair in (
+        (d1(), d1()), (d1(), d2), (d2, d2), (d2, point), (point, d1()))]
+    assert len(_monomials_up_to(pps[2].left_names, 2)) ** 2 == 784
+    broken = []
+    for pp in pps:
+        broken += [dataclasses.replace(pp, right_names=pp.left_names),
+                   dataclasses.replace(pp, right_names=pp.right_names[1:] + pp.left_names[:1]),
+                   dataclasses.replace(pp, left_names=pp.left_names[1:])]
+    outcomes = set()
+    for pp in pps + broken:
+        for bound in range(4):
+            expected = _split_check_on_polynomials(pp, bound)
+            assert verify_tensor_identity(pp, bound=bound, samples=0) == expected
+            outcomes.add((pp in pps, expected))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_random_ideal_elements_are_kernel_members(rng):

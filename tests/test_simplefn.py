@@ -54,7 +54,9 @@ def test_float_weights_are_refused_at_both_entry_points():
     cell = geo.decompose_cells(TRI)[0]
     message = "float coefficient 0.1; use an int or a Fraction"
     for make in (lambda q: sf.combine([q], [f]), lambda q: sf.combine([1, q], [f, f]),
-                 lambda q: sf.SimpleFunction(TRI.ambient, {cell: q})):
+                 lambda q: sf.SimpleFunction(TRI.ambient, {cell: q}),
+                 lambda q: sf.from_closed(TRI.ambient, {TRI: Fraction(1), OA_EDGE: q}),
+                 lambda q: sf.times_closed(f, {OA_EDGE: q, TRI: Fraction(1)})):
         with pytest.raises(TypeError, match=message):
             make(0.1)
         with pytest.raises(TypeError, match="float coefficient 0.0"):
